@@ -7,10 +7,10 @@
 //	mptcp-exp -list
 //	mptcp-exp -run fig8-torus [-scale 1.0] [-seed 42]
 //	mptcp-exp -run all [-parallel 8] [-trials 5] [-json]
-//	mptcp-exp -exp dynamics [-scenario handover] [-json]
-//	mptcp-exp -exp schedgrid [-sched minrtt+otr+pen] [-json]
-//	mptcp-exp -exp appgrid [-workload video] [-json]
-//	mptcp-exp -exp dynamics -json -trace trace.jsonl
+//	mptcp-exp -exp dynamics [-where scenario=handover] [-json]
+//	mptcp-exp -exp schedgrid [-where scheduler=minrtt+otr+pen,recvbuf=16] [-json]
+//	mptcp-exp -exp appgrid [-where workload=video] [-json]
+//	mptcp-exp -exp schedgrid -where recvbuf=16,algorithm=MPTCP -json -trace trace.jsonl
 //	mptcp-exp -exp fleet [-shards 4] -json
 //	mptcp-exp -analyze [-csv out.csv] grid.jsonl trace.jsonl
 //	mptcp-exp -analyze -diff A.jsonl B.jsonl
@@ -24,6 +24,15 @@
 // instead of the rendered report; -trace additionally streams the cells'
 // protocol traces (internal/trace JSONL) to a file.
 //
+// The grid experiments are cross products of named axes (see -list):
+// tournament algorithm×topology, dynamics algorithm×topology×scenario,
+// schedgrid scheduler×algorithm×topology×recvbuf, appgrid
+// workload×scheduler×algorithm×topology, fleet algorithm×scheduler.
+// -where axis=value[,axis=value] runs only the matching cells, each with
+// the seed it has in the full grid. An axis the grid lacks, or a value
+// not on it, is an error before anything runs; so is -trace on an
+// experiment that cannot trace (the per-figure experiments and fleet).
+//
 // -analyze is the offline half: it reads any mix of the JSONL artifacts
 // above (grid cell records, trial records, protocol traces — files can
 // be concatenated freely), aggregates them with streaming summaries, and
@@ -35,8 +44,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"strings"
 
 	"mptcp/internal/exp"
 	"mptcp/internal/scenario"
@@ -70,25 +81,16 @@ type trialRecord struct {
 	Notes   []string           `json:"notes,omitempty"`
 }
 
-// cellRecord is the JSONL shape for grid experiments (tournament,
-// dynamics, schedgrid, appgrid): one line per grid cell of a trial,
-// replacing that trial's aggregate line. Scenario is set only by
-// scenario-grid experiments; Scheduler and RecvBuf only by scheduler-
-// grid ones; Workload only by the application-workload grid. The full
-// field-by-field schema is documented in DESIGN.md §"JSONL record
-// schema".
+// cellRecord is the JSONL shape for grid experiments: one line per
+// grid cell of a trial, replacing that trial's aggregate line. Its cell
+// fields and their order are exp.Record's; the full field-by-field
+// schema is documented in DESIGN.md §"JSONL record schema".
 type cellRecord struct {
-	ID        string             `json:"id"`
-	Trial     int                `json:"trial"`
-	Seed      int64              `json:"seed"`
-	Scale     float64            `json:"scale"`
-	Algorithm string             `json:"algorithm"`
-	Topology  string             `json:"topology"`
-	Scenario  string             `json:"scenario,omitempty"`
-	Scheduler string             `json:"scheduler,omitempty"`
-	Workload  string             `json:"workload,omitempty"`
-	RecvBuf   int64              `json:"recv_buf,omitempty"`
-	Metrics   map[string]float64 `json:"metrics"`
+	ID    string  `json:"id"`
+	Trial int     `json:"trial"`
+	Seed  int64   `json:"seed"`
+	Scale float64 `json:"scale"`
+	exp.Record
 }
 
 func main() {
@@ -99,11 +101,9 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "duration/topology scale (1.0 = paper fidelity)")
 	parallel := flag.Int("parallel", 0, "max concurrent trial cells (0 = GOMAXPROCS)")
 	trials := flag.Int("trials", 1, "repetitions per experiment, base seeds seed..seed+trials-1")
-	scenarioID := flag.String("scenario", "", "restrict the dynamics experiment to one scenario (see -list); cell seeds match the full grid")
-	schedSpec := flag.String("sched", "", "restrict the schedgrid experiment to one scheduler spec, e.g. minrtt+otr+pen (see -list); cell seeds match the full grid")
-	workloadID := flag.String("workload", "", "restrict the appgrid experiment to one application workload (see -list); cell seeds match the full grid")
+	where := flag.String("where", "", "run only the grid cells matching axis=value[,axis=value], e.g. scheduler=bandit (axes in -list); cell seeds match the full grid")
 	jsonOut := flag.Bool("json", false, "emit one JSON record per trial instead of rendered reports")
-	traceOut := flag.String("trace", "", "write per-connection protocol traces (JSONL) to FILE for experiments that support tracing")
+	traceOut := flag.String("trace", "", "write per-connection protocol traces (JSONL) of a grid experiment's cells to FILE (not fleet)")
 	analyze := flag.Bool("analyze", false, "aggregate JSONL artifacts (grid records, trial records, traces) named as positional args ('-' or none = stdin) into summary tables")
 	diff := flag.Bool("diff", false, "with -analyze, compare exactly two JSONL files A and B and print per-cell delta tables instead of aggregates")
 	csvOut := flag.String("csv", "", "with -analyze, also write the summary rows as CSV to FILE ('-' = stdout)")
@@ -134,25 +134,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-diff requires -analyze")
 		os.Exit(1)
 	}
-	if *scenarioID != "" {
-		if _, err := scenario.Build(*scenarioID, 1); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *schedSpec != "" {
-		if _, _, err := sched.Parse(*schedSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *workloadID != "" {
-		if _, err := workload.Build(*workloadID, 1); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
 	if *trainSched != "" {
 		if err := runTrainSched(*trainSched, *seed, *scale, *trainRounds, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -180,13 +161,23 @@ func main() {
 		for _, e := range exp.All() {
 			fmt.Printf("  %-24s %-18s %s\n", e.ID, e.Ref, e.Desc)
 		}
-		fmt.Println("\nNetwork-dynamics scenarios (dynamics experiment, -scenario <name>):")
+		fmt.Println("\nGrid axes (-where axis=value[,axis=value]):")
+		for _, e := range exp.All() {
+			if e.Grid != nil {
+				var axes []string
+				for _, ax := range e.Grid.Axes {
+					axes = append(axes, ax.Name)
+				}
+				fmt.Printf("  %-24s %s\n", e.ID, strings.Join(axes, " × "))
+			}
+		}
+		fmt.Println("\nNetwork-dynamics scenarios (-where scenario=<name>):")
 		for _, s := range scenario.Infos() {
 			fmt.Printf("  %-24s %s\n", s.Name, s.Desc)
 		}
-		fmt.Println("\nPacket schedulers (schedgrid experiment, -sched <name>[+otr][+pen]):")
+		fmt.Println("\nPacket schedulers (-where scheduler=<name>[+otr][+pen]):")
 		fmt.Print(sched.Help())
-		fmt.Println("\nApplication workloads (appgrid experiment, -workload <name>):")
+		fmt.Println("\nApplication workloads (-where workload=<name>):")
 		for _, w := range workload.Infos() {
 			fmt.Printf("  %-24s %s\n", w.Name, w.Desc)
 		}
@@ -204,7 +195,18 @@ func main() {
 		exps = []*exp.Experiment{e}
 	}
 
-	cfg := exp.Config{Seed: *seed, Scale: *scale, Parallelism: *parallel, Shards: *shards, Scenario: *scenarioID, Sched: *schedSpec, Workload: *workloadID}
+	cfg := exp.Config{Seed: *seed, Scale: *scale, Parallelism: *parallel, Shards: *shards, Where: *where}
+	if *traceOut != "" {
+		// Stands in for the trace file until every experiment is
+		// checked, so a rejected run leaves no empty file behind.
+		cfg.TraceW = io.Discard
+	}
+	for _, e := range exps {
+		if err := e.Check(cfg); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 	if *traceOut != "" {
 		// Trials run concurrently and each flushes its own cells to the
 		// trace writer; one traced trial keeps the file deterministic.
@@ -232,22 +234,11 @@ func main() {
 		}
 		if *jsonOut {
 			// Grid experiments carry per-cell records: emit one line per
-			// (algorithm × topology) cell instead of one aggregate line.
+			// cell instead of one aggregate line.
 			if recs := tr.Result.Records; len(recs) > 0 {
 				for _, r := range recs {
-					cr := cellRecord{
-						ID:        tr.ID,
-						Trial:     tr.Trial,
-						Seed:      tr.Seed,
-						Scale:     tr.Scale,
-						Algorithm: r.Algorithm,
-						Topology:  r.Topology,
-						Scenario:  r.Scenario,
-						Scheduler: r.Scheduler,
-						Workload:  r.Workload,
-						RecvBuf:   r.RecvBuf,
-						Metrics:   dropNaN(r.Metrics),
-					}
+					r.Metrics = dropNaN(r.Metrics)
+					cr := cellRecord{ID: tr.ID, Trial: tr.Trial, Seed: tr.Seed, Scale: tr.Scale, Record: r}
 					if err := enc.Encode(cr); err != nil {
 						encErr = fmt.Errorf("encoding %s: %v", tr.ID, err)
 						return

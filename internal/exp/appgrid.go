@@ -2,13 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
-	"mptcp/internal/core"
 	"mptcp/internal/scenario"
-	"mptcp/internal/sched"
 	"mptcp/internal/sim"
-	"mptcp/internal/topo"
 	"mptcp/internal/transport"
 	"mptcp/internal/workload"
 )
@@ -20,20 +16,28 @@ func init() {
 		Desc: "Application-workload grid: every internal/workload behaviour (rpc, web, video, mice) × {minrtt, blest, " +
 			"bandit, minrtt+otr+pen} × {MPTCP, OLIA} × {WiFi+3G under handover, dual-homed server} with a 16-packet shared " +
 			"receive buffer; per-cell page-load time, RPC tail latency, rebuffer ratio and mouse completion time.",
-		Run: runAppGrid,
+		// Workload-major: registering a new workload appends its cells
+		// after the existing ones.
+		Grid: &Grid{
+			Axes: []Axis{
+				{"workload", workload.Names()},
+				// Plain minrtt (the baseline the §6 countermeasures exist
+				// to fix), BLEST's HOL-blocking avoidance, the
+				// offline-trained bandit policy, and minrtt with both §6
+				// countermeasures composed on.
+				{"scheduler", []string{"minrtt", "blest", "bandit", "minrtt+otr+pen"}},
+				// The paper's algorithm and its successor, enough to show
+				// workload results are not an artifact of one controller.
+				{"algorithm", []string{"MPTCP", "OLIA"}},
+				{"topology", []string{"wifi3g", "dualhomed"}},
+			},
+			Title: "Application workloads: completed units (headline: latency-p95 s, or rebuffer ratio for video) per workload × scheduler × algorithm × topology",
+			Note: fmt.Sprintf("all transfers share a %d-packet receive buffer; wifi3g runs the handover script (WiFi dies at 0.4T), dualhomed is static; latency fields are omitted when a cell completed nothing",
+				appRecvBuf),
+			Cell: appCell,
+		},
 	})
 }
-
-// appSchedSpecs is the scheduler axis: plain minrtt (the baseline the
-// §6 countermeasures exist to fix), BLEST's HOL-blocking avoidance, the
-// offline-trained bandit policy, and minrtt with both §6
-// countermeasures composed on.
-func appSchedSpecs() []string { return []string{"minrtt", "blest", "bandit", "minrtt+otr+pen"} }
-
-// appAlgs is the congestion-control axis — the paper's algorithm and
-// its successor, enough to show workload results are not an artifact of
-// one controller.
-func appAlgs() []string { return []string{"MPTCP", "OLIA"} }
 
 // appRecvBuf is the shared receive buffer (packets) of every
 // application transfer: small enough that the overbuffered 3G subflow
@@ -44,217 +48,84 @@ const appRecvBuf = 16
 // appEnd is the (unscaled) issuing horizon of one cell.
 const appEnd = 30 * sim.Second
 
-// appTopo is one topology column: build constructs the cell's
-// background flows and returns the multipath path set application
-// transfers run over, plus the scriptable links the column's scenario
-// (if any) drives.
-type appTopo struct {
-	name     string
-	scenario string // network-dynamics script installed over the links; "" = static
-	build    func(w *world) (paths []transport.Path, links []*topo.Duplex)
-}
+// appScenarios names the network-dynamics script each topology column
+// runs under; a column without one is static.
+var appScenarios = map[string]string{"wifi3g": "handover"}
 
-func appTopos() []appTopo {
-	return []appTopo{
-		{"wifi3g", "handover", appWiFi3G},
-		{"dualhomed", "", appDualHomed},
-	}
-}
+// appLat names each workload's latency metrics in JSONL: the summary is
+// the same streaming metrics.Summary, the semantics (and so the field
+// name) differ per workload.
+var appLat = map[string]string{"rpc": "rpc", "web": "plt", "video": "chunk", "mice": "mice_fct"}
 
-// appWiFi3G: §5's busy wireless client — application transfers share
-// WiFi+3G with one competing bulk TCP per radio, and the handover
-// script kills WiFi mid-run.
-func appWiFi3G(w *world) ([]transport.Path, []*topo.Duplex) {
-	wl := busyWireless()
-	tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1]})
-	tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:]})
-	tcpW.Start()
-	tcpG.Start()
-	return wl.Paths(), []*topo.Duplex{wl.WiFi, wl.G3}
-}
-
-// appDualHomed: §3's multihomed server with its background TCP load (2
-// on link 1, 6 on link 2); application transfers use both access links.
-func appDualHomed(w *world) ([]transport.Path, []*topo.Duplex) {
-	rtt := 20 * sim.Millisecond
-	d := topo.NewDualHomed(100, rtt/2, topo.BDPPackets(100, rtt))
-	addTCP := func(link, n int) {
-		for i := 0; i < n; i++ {
-			c := transport.NewConn(w.n, transport.Config{Paths: d.ClientPath(link)})
-			c.Start()
-		}
-	}
-	addTCP(1, 2)
-	addTCP(2, 6)
-	return d.MultipathPaths(), []*topo.Duplex{d.Link1, d.Link2}
-}
-
-// appOut is one cell's measurements.
-type appOut struct {
-	stats      *workload.Stats
-	incomplete int64 // transfers still in flight at the horizon
-	pkts       int64 // data packets of completed transfers
-	partial    int64 // packets delivered by in-flight transfers at the horizon
-}
-
-// appLatPrefix names each workload's headline latency metric in JSONL:
-// the summary is the same streaming metrics.Summary, the semantics (and
-// so the field name) differ per workload.
-func appLatPrefix(wl string) string {
-	switch wl {
-	case "rpc":
-		return "rpc"
-	case "web":
-		return "plt"
-	case "video":
-		return "chunk"
-	case "mice":
-		return "mice_fct"
-	}
-	return "lat"
-}
-
-func runAppGrid(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("appgrid")
-	wls := workload.Names()
-	specs := appSchedSpecs()
-	algs := appAlgs()
-	topos := appTopos()
-	if cfg.Workload != "" {
-		found := false
-		for _, n := range wls {
-			if n == cfg.Workload {
-				found = true
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("exp: unknown workload %q (have %v)", cfg.Workload, wls))
-		}
-	}
-	if cfg.Sched != "" {
-		canon, err := sched.Canonical(cfg.Sched)
-		if err != nil {
-			panic(fmt.Sprintf("exp: bad scheduler spec %q: %v", cfg.Sched, err))
-		}
-		cfg.Sched = canon
-		found := false
-		for _, s := range specs {
-			if s == cfg.Sched {
-				found = true
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("exp: scheduler spec %q is not an appgrid column (have %v)", cfg.Sched, specs))
-		}
-	}
-
-	// One cell per (workload, scheduler, algorithm, topology) in
-	// workload-major order: registering a new workload appends its
-	// cells after the existing ones. A -workload or -sched filter
-	// selects a subset of cells but keeps each cell's full-grid index as
-	// its seed index, so a filtered run reproduces the corresponding
-	// cells of the full grid bit-for-bit.
-	type cellKey struct{ wi, si, ai, ti, idx int }
-	var sel []cellKey
-	idx := 0
-	for wi := range wls {
-		for si := range specs {
-			for ai := range algs {
-				for ti := range topos {
-					if (cfg.Workload == "" || wls[wi] == cfg.Workload) &&
-						(cfg.Sched == "" || specs[si] == cfg.Sched) {
-						sel = append(sel, cellKey{wi, si, ai, ti, idx})
-					}
-					idx++
-				}
-			}
-		}
-	}
-	cells := RunCells(cfg, len(sel), func(cell Config, i int) appOut {
-		k := sel[i]
-		cell.Seed = CellSeed(cfg.Seed, k.idx)
-		return runAppCell(cell, wls[k.wi], parseSchedSpec(specs[k.si]), newAlg(algs[k.ai]), topos[k.ti])
-	})
-
-	table := Table{
-		Title: "Application workloads: completed units (headline: latency-p95 s, or rebuffer ratio for video) per workload × scheduler × algorithm × topology",
-		Cols:  []string{"workload", "scheduler", "algorithm"},
-	}
-	for _, tp := range topos {
-		table.Cols = append(table.Cols, tp.name)
-	}
-	// Rows are one per (workload, scheduler, algorithm) with topology
-	// columns; records, metrics and rows are all assembled in
-	// deterministic cell order, never goroutine order.
-	rowOf := map[[3]int]int{}
-	for i, k := range sel {
-		c := cells[i]
-		wl, spec, alg, tp := wls[k.wi], specs[k.si], algs[k.ai], topos[k.ti]
-		mets := appMetrics(wl, c, cfg.dur(appEnd))
-		key := fmt.Sprintf("%s_%s_%s_%s", wl, spec, strings.ToLower(alg), tp.name)
-		res.Metrics[key+"_completed"] = float64(c.stats.Completed)
-		if headline, ok := appHeadline(wl, mets); ok {
-			res.Metrics[key+"_"+headline.name] = headline.v
-		}
-		res.Records = append(res.Records, Record{
-			Algorithm: alg,
-			Topology:  tp.name,
-			Scenario:  tp.scenario,
-			Scheduler: spec,
-			RecvBuf:   appRecvBuf,
-			Workload:  wl,
-			Metrics:   mets,
-		})
-		rk := [3]int{k.wi, k.si, k.ai}
-		ri, ok := rowOf[rk]
-		if !ok {
-			ri = len(table.Rows)
-			rowOf[rk] = ri
-			table.Rows = append(table.Rows, []string{wl, spec, alg})
-		}
-		cellTxt := f0(float64(c.stats.Completed))
-		if h, ok := appHeadline(wl, mets); ok {
-			cellTxt += " (" + fmt.Sprintf("%.3g", h.v) + ")"
-		}
-		table.Rows[ri] = append(table.Rows[ri], cellTxt)
-	}
-	res.Tables = append(res.Tables, table)
-	res.note("all transfers share a %d-packet receive buffer; wifi3g runs the handover script (WiFi dies at 0.4T), dualhomed is static; latency fields are omitted when a cell completed nothing", appRecvBuf)
-	return res
-}
-
-// appHeadline picks a cell's single summary number for the table and
+// appHeadline names a cell's single summary metric for the table and
 // res.Metrics: the rebuffer ratio for video, the latency p95 otherwise.
-type headlineVal struct {
-	name string
-	v    float64
-}
-
-func appHeadline(wl string, mets map[string]float64) (headlineVal, bool) {
+func appHeadline(wl string) string {
 	if wl == "video" {
-		v, ok := mets["rebuffer_ratio"]
-		return headlineVal{"rebuffer_ratio", v}, ok
+		return "rebuffer_ratio"
 	}
-	name := appLatPrefix(wl) + "_p95"
-	v, ok := mets[name]
-	return headlineVal{name, v}, ok
+	return appLat[wl] + "_p95"
 }
 
-// appMetrics assembles one cell's JSONL metrics. Latency quantiles are
-// present only when the cell completed at least one unit — an absent
-// field, not a fake zero, is the honest rendering of "nothing finished"
-// (mirroring the fleet experiment's fct_* handling).
-func appMetrics(wl string, c appOut, dur sim.Time) map[string]float64 {
-	st := c.stats
+func appCell(c *Cell) CellOut {
+	wl := c.V[0]
+	mets := runAppCell(c, flowCfg{alg: newAlg(c.V[2]), sched: parseSchedSpec(c.V[1]), recvBuf: appRecvBuf, pooled: true})
+	h := appHeadline(wl)
+	text := f0(mets["completed"])
+	if v, ok := mets[h]; ok {
+		text += " (" + fmt.Sprintf("%.3g", v) + ")"
+	}
+	return CellOut{
+		Record: Record{Scenario: appScenarios[c.V[3]], RecvBuf: appRecvBuf, Metrics: mets},
+		Head:   []string{"completed", h},
+		Text:   []string{text},
+	}
+}
+
+// runAppCell simulates one grid cell and returns its JSONL metrics:
+// build the topology column's background flows, wire the workload's
+// spawner through a ConnPool over the column's multipath paths (every
+// transfer gets the cell's scheduler, algorithm and shared receive
+// buffer), install the column's scenario, install the workload, and run
+// to the horizon. Goodput counts transfers still in flight at the
+// horizon via the pool's live set — the same fix as the fleet's goodput
+// undercount. Latency quantiles are present only when the cell
+// completed at least one unit — an absent field, not a fake zero, is
+// the honest rendering of "nothing finished" (mirroring the fleet
+// experiment's fct_* handling).
+func runAppCell(c *Cell, f flowCfg) map[string]float64 {
+	wl := c.V[0]
+	w := c.world()
+	end := c.dur(appEnd)
+	sc := columns[c.V[3]].build(w, f)
+	pool := transport.NewConnPool(w.n)
+
+	var pkts int64 // data packets of completed transfers
+	spawn := func(n int64, done func()) {
+		var conn *transport.Conn
+		cfg := f.config(w, sc.paths)
+		cfg.DataPackets = n
+		cfg.OnComplete = func() {
+			pkts += n
+			pool.Put(conn)
+			done()
+		}
+		conn = pool.Get(cfg)
+		conn.Start()
+	}
+	if scen := appScenarios[c.V[3]]; scen != "" {
+		scenario.MustBuild(scen, end).MustInstall(sc.env)
+	}
+	st := workload.MustBuild(wl, end).Install(&workload.Env{Sim: w.s, Spawn: spawn, End: end})
+	w.s.RunUntil(end)
+
 	mets := map[string]float64{
 		"issued":       float64(st.Issued),
 		"completed":    float64(st.Completed),
-		"incomplete":   float64(c.incomplete),
-		"goodput_mbps": mbps(c.pkts+c.partial, dur),
+		"incomplete":   float64(pool.LiveCount()),
+		"goodput_mbps": mbps(pkts+pool.LiveDelivered(), end),
 	}
 	if st.Latency.N() > 0 {
-		p := appLatPrefix(wl)
+		p := appLat[wl]
 		mets[p+"_mean"] = st.Latency.Mean()
 		mets[p+"_p50"] = st.Latency.P50()
 		mets[p+"_p95"] = st.Latency.P95()
@@ -269,46 +140,7 @@ func appMetrics(wl string, c appOut, dur sim.Time) map[string]float64 {
 			mets["rebuffer_ratio"] = st.StallSec / total
 		}
 	case "mice":
-		mets["elephant_mbps"] = mbps(st.ElephantPkts, dur)
+		mets["elephant_mbps"] = mbps(st.ElephantPkts, end)
 	}
 	return mets
-}
-
-// runAppCell simulates one grid cell: build the topology's background
-// flows, wire the workload's spawner through a ConnPool over the cell's
-// multipath paths (every transfer gets the cell's scheduler, algorithm
-// and shared receive buffer), install the column's scenario, install
-// the workload, and run to the horizon. In-flight transfers at the
-// horizon are accounted via the pool's live set — the same fix as the
-// fleet's goodput undercount.
-func runAppCell(cell Config, wlName string, spec schedSpec, alg core.Algorithm, tp appTopo) appOut {
-	w := newWorld(cell.Seed)
-	end := cell.dur(appEnd)
-	paths, links := tp.build(w)
-	pool := transport.NewConnPool(w.n)
-
-	var out appOut
-	spawn := func(pkts int64, done func()) {
-		var c *transport.Conn
-		cfg := schedConfig(spec, alg, appRecvBuf, paths)
-		cfg.DataPackets = pkts
-		cfg.OnComplete = func() {
-			out.pkts += pkts
-			pool.Put(c)
-			done()
-		}
-		c = pool.Get(cfg)
-		c.Start()
-	}
-	if tp.scenario != "" {
-		sc := scenario.MustBuild(tp.scenario, end)
-		sc.MustInstall(&scenario.Env{Sim: w.s, Net: w.n, Links: links})
-	}
-	st := workload.MustBuild(wlName, end).Install(&workload.Env{Sim: w.s, Spawn: spawn, End: end})
-	w.s.RunUntil(end)
-
-	out.stats = st
-	out.incomplete = pool.LiveCount()
-	out.partial = pool.LiveDelivered()
-	return out
 }

@@ -38,22 +38,14 @@ type Config struct {
 	// for every value (sim.Sharded's barrier-merge guarantees it).
 	// Experiments without intra-cell sharding ignore it.
 	Shards int
-	// Scenario restricts scenario-grid experiments (dynamics) to one
-	// named scenario; empty runs the full grid. Filtering never changes
-	// a cell's derived seed — a filtered run reproduces exactly the
-	// corresponding cells of the full grid.
-	Scenario string
-	// Sched restricts scheduler-grid experiments (schedgrid) to one
-	// scheduler spec (e.g. "minrtt+otr+pen"); empty runs the full grid.
-	// Like Scenario, filtering never changes a cell's derived seed.
-	Sched string
-	// Workload restricts workload-grid experiments (appgrid) to one
-	// named application workload (see internal/workload); empty runs
-	// the full grid. Like Scenario, filtering never changes a cell's
-	// derived seed.
-	Workload string
-	// TraceW, when non-nil, enables protocol tracing in experiments that
-	// support it (currently the dynamics grid): each cell records its
+	// Where restricts a grid experiment to the cells whose axis values
+	// it names, as "axis=value[,axis=value]" (e.g. "scheduler=bandit");
+	// empty runs the full grid. Filtering never changes a cell's derived
+	// seed — a filtered run reproduces exactly the corresponding cells
+	// of the full grid. See Grid and Experiment.Check.
+	Where string
+	// TraceW, when non-nil, enables protocol tracing in grid experiments
+	// on a single simulator (all but fleet): each cell records its
 	// connections' events into a private internal/trace tracer, and the
 	// cells' traces are flushed to TraceW as JSONL in cell order after
 	// the grid completes — so the trace bytes, like the results, are
@@ -110,26 +102,27 @@ type Figure struct {
 // topology × scenario) cell of the dynamics grid. Experiments that run
 // a full cross-product attach one Record per cell, in cell order, so
 // drivers can emit them individually (cmd/mptcp-exp -json writes one
-// JSONL line per record instead of one aggregate line).
+// JSONL line per record instead of one aggregate line). The JSON tags
+// and field order are that line's schema (DESIGN.md §9).
 type Record struct {
-	Algorithm string
-	Topology  string
+	Algorithm string `json:"algorithm"`
+	Topology  string `json:"topology"`
 	// Scenario names the network-dynamics script of the cell; empty for
 	// static-network grids (the tournament).
-	Scenario string
+	Scenario string `json:"scenario,omitempty"`
 	// Scheduler names the packet-scheduler spec of the cell (a
 	// sched.Parse spec such as "minrtt" or "minrtt+otr+pen"); empty for
 	// grids without a scheduler axis.
-	Scheduler string
-	// RecvBuf is the shared receive buffer, in packets, constraining the
-	// cell's multipath flows; 0 means unconstrained (grids without a
-	// buffer axis leave it 0).
-	RecvBuf int64
+	Scheduler string `json:"scheduler,omitempty"`
 	// Workload names the application workload driving the cell's
 	// transfers (an internal/workload name such as "web" or "video");
 	// empty for grids without an application layer.
-	Workload string
-	Metrics  map[string]float64
+	Workload string `json:"workload,omitempty"`
+	// RecvBuf is the shared receive buffer, in packets, constraining the
+	// cell's multipath flows; 0 means unconstrained (grids without a
+	// buffer axis leave it 0).
+	RecvBuf int64              `json:"recv_buf,omitempty"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 // Result is everything an experiment reports.
@@ -217,6 +210,25 @@ type Experiment struct {
 	Ref  string // the table/figure in the paper
 	Desc string
 	Run  func(Config) *Result
+	// Grid declares a cross-product experiment; Register sets Run to
+	// the grid runner. Nil for the per-figure experiments.
+	Grid *Grid
+}
+
+// Check reports, before anything runs, whether e can honour cfg's Where
+// filter and TraceW. Run panics on a Config that Check rejects.
+func (e *Experiment) Check(cfg Config) error {
+	if e.Grid != nil {
+		_, err := e.Grid.check(e.ID, cfg)
+		return err
+	}
+	if cfg.Where != "" {
+		return fmt.Errorf("%s is not a grid experiment: it has no axes to filter", e.ID)
+	}
+	if cfg.TraceW != nil {
+		return fmt.Errorf("%s cannot trace: only grid experiments record protocol traces", e.ID)
+	}
+	return nil
 }
 
 var (
@@ -228,6 +240,9 @@ var (
 func Register(e *Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("exp: duplicate experiment " + e.ID)
+	}
+	if g := e.Grid; g != nil {
+		e.Run = func(cfg Config) *Result { return g.run(e.ID, cfg) }
 	}
 	registry[e.ID] = e
 	order = append(order, e.ID)
@@ -270,7 +285,7 @@ type world struct {
 	s *sim.Simulator
 	n *netsim.Net
 	// tr is the cell's protocol tracer: nil (tracing disabled, the
-	// default) unless the experiment opted in via newTracedWorld.
+	// default) unless a traced grid cell built the world (Cell.world).
 	// Builders pass it to transport.NewConn as Config.Tracer.
 	tr *trace.Tracer
 }
@@ -280,29 +295,30 @@ func newWorld(seed int64) *world {
 	return &world{s: s, n: netsim.NewNet(s)}
 }
 
-// newTracedWorld is newWorld plus a cell-private tracer on the
-// simulator's clock, labelled so concatenated flushes stay
-// attributable. Used by grid cells when Config.TraceW is set.
-func newTracedWorld(seed int64, label string) *world {
-	w := newWorld(seed)
-	w.tr = trace.New(0, trace.SimNow(w.s))
-	w.tr.SetLabel(label)
-	return w
-}
-
 // measure runs the simulation to warm, snapshots flow progress, runs to
 // end, and returns each connection's throughput in Mb/s over [warm, end].
 func (w *world) measure(conns []*transport.Conn, warm, end sim.Time) []float64 {
 	w.s.RunUntil(warm)
-	base := make([]int64, len(conns))
-	for i, c := range conns {
-		base[i] = c.Delivered()
-	}
+	base := snapshot(conns)
 	w.s.RunUntil(end)
-	out := make([]float64, len(conns))
-	dur := (end - warm).Seconds()
+	return ratesSince(conns, base, end-warm)
+}
+
+// snapshot records each connection's delivered packets.
+func snapshot(conns []*transport.Conn) []int64 {
+	out := make([]int64, len(conns))
 	for i, c := range conns {
-		out[i] = float64(c.Delivered()-base[i]) * netsim.DataPacketSize * 8 / dur / 1e6
+		out[i] = c.Delivered()
+	}
+	return out
+}
+
+// ratesSince is each connection's throughput in Mb/s over the dur since
+// its snapshot base.
+func ratesSince(conns []*transport.Conn, base []int64, dur sim.Time) []float64 {
+	out := make([]float64, len(conns))
+	for i, c := range conns {
+		out[i] = mbps(c.Delivered()-base[i], dur)
 	}
 	return out
 }

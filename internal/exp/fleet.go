@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"mptcp/internal/cc"
 	"mptcp/internal/metrics"
@@ -20,7 +19,21 @@ func init() {
 		Ref: "scaled-up §3 server workload",
 		Desc: "Fleet-scale flow-completion times: tens of thousands of short MPTCP connections under Poisson " +
 			"arrivals × Pareto sizes across a sharded multi-core engine; FCT p50/p95/p99 per cc × scheduler cell.",
-		Run: runFleet,
+		Grid: &Grid{
+			Axes: []Axis{
+				{"algorithm", cc.Names()},
+				// The historical striping and the deployment default,
+				// enough to show FCT tails move with scheduling policy
+				// without squaring the grid.
+				{"scheduler", []string{"firstfit", "minrtt"}},
+			},
+			Cols:  []string{"p50", "p95", "p99", "mean", "completed", "arrivals"},
+			Title: "Fleet: flow-completion time seconds p50/p95/p99 (completed flows) per algorithm × scheduler",
+			Note: fmt.Sprintf("%d connection groups per cell, Poisson %.0f arrivals/s/group × Pareto(1.5) sizes of mean %.0f pkts, shared recvbuf %d pkts; groups coupled by ring transit bursts over sharded pipes",
+				fleetDomains, fleetRate, fleetMeanPkts, fleetRecvBuf),
+			NoTrace: true,
+			Cell:    fleetCell,
+		},
 	})
 }
 
@@ -47,11 +60,6 @@ const (
 	// next group.
 	fleetTransitEvery = 20 * sim.Millisecond
 )
-
-// fleetScheds are the scheduler columns: the historical striping and
-// the deployment default, enough to show FCT tails move with
-// scheduling policy without squaring the grid.
-func fleetScheds() []string { return []string{"firstfit", "minrtt"} }
 
 // fleetOut is one cell's aggregate, already merged across domains.
 type fleetOut struct {
@@ -118,76 +126,39 @@ func (g *fleetGroup) sendTransit(end sim.Time) {
 	}
 }
 
-func runFleet(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("fleet")
-	algs := cc.Names()
-	scheds := fleetScheds()
-
-	type cellKey struct{ ai, si, idx int }
-	var sel []cellKey
-	idx := 0
-	for ai := range algs {
-		for si := range scheds {
-			if cfg.Sched == "" || scheds[si] == cfg.Sched {
-				sel = append(sel, cellKey{ai, si, idx})
-			}
-			idx++
-		}
+func fleetCell(c *Cell) CellOut {
+	out := runFleetCell(c.Config, c.V[0], c.V[1])
+	// goodput counts completed and in-flight deliveries; the fct_*
+	// fields are omitted (not zero) when nothing completed, matching
+	// Summary's NaN-when-empty contract.
+	mets := map[string]float64{
+		"completed":    float64(out.completed),
+		"incomplete":   float64(out.incomplete),
+		"arrivals":     float64(out.arrivals),
+		"goodput_mbps": mbps(out.pkts+out.partial, c.dur(fleetDur)),
+		"transit":      float64(out.transit),
+		"pool_reuses":  float64(out.reuses),
 	}
-	cells := RunCells(cfg, len(sel), func(cell Config, i int) fleetOut {
-		k := sel[i]
-		cell.Seed = CellSeed(cfg.Seed, k.idx)
-		return runFleetCell(cell, algs[k.ai], scheds[k.si])
-	})
-
-	table := Table{
-		Title: "Fleet: flow-completion time seconds p50/p95/p99 (completed flows) per algorithm × scheduler",
-		Cols:  []string{"algorithm", "scheduler", "p50", "p95", "p99", "mean", "completed", "arrivals"},
+	if out.fct.N() > 0 {
+		mets["fct_p50_s"] = out.fct.P50()
+		mets["fct_p95_s"] = out.fct.P95()
+		mets["fct_p99_s"] = out.fct.P99()
+		mets["fct_mean_s"] = out.fct.Mean()
+		mets["fct_max_s"] = out.fct.Max()
 	}
-	for i, k := range sel {
-		c := cells[i]
-		name, sc := algs[k.ai], scheds[k.si]
-		key := strings.ToLower(name) + "_" + sc
-		res.Metrics[key+"_fct_p50_s"] = c.fct.P50()
-		res.Metrics[key+"_fct_p99_s"] = c.fct.P99()
-		res.Metrics[key+"_completed"] = float64(c.completed)
-		// goodput counts completed and in-flight deliveries; the fct_*
-		// fields are omitted (not zero) when nothing completed, matching
-		// Summary's NaN-when-empty contract.
-		mets := map[string]float64{
-			"completed":    float64(c.completed),
-			"incomplete":   float64(c.incomplete),
-			"arrivals":     float64(c.arrivals),
-			"goodput_mbps": mbps(c.pkts+c.partial, cfg.dur(fleetDur)),
-			"transit":      float64(c.transit),
-			"pool_reuses":  float64(c.reuses),
-		}
-		if c.fct.N() > 0 {
-			mets["fct_p50_s"] = c.fct.P50()
-			mets["fct_p95_s"] = c.fct.P95()
-			mets["fct_p99_s"] = c.fct.P99()
-			mets["fct_mean_s"] = c.fct.Mean()
-			mets["fct_max_s"] = c.fct.Max()
-		}
-		res.Records = append(res.Records, Record{
-			Algorithm: name,
-			Topology:  "fleet32",
-			Scenario:  "poisson-pareto-churn",
-			Scheduler: sc,
-			RecvBuf:   fleetRecvBuf,
-			Metrics:   mets,
-		})
-		table.Rows = append(table.Rows, []string{
-			name, sc,
-			f2(c.fct.P50()), f2(c.fct.P95()), f2(c.fct.P99()), f2(c.fct.Mean()),
-			f0(float64(c.completed)), f0(float64(c.arrivals)),
-		})
+	return CellOut{
+		Record: Record{
+			Topology: "fleet32",
+			Scenario: "poisson-pareto-churn",
+			RecvBuf:  fleetRecvBuf,
+			Metrics:  mets,
+		},
+		Head: []string{"fct_p50_s", "fct_p99_s", "completed"},
+		Text: []string{
+			f2(out.fct.P50()), f2(out.fct.P95()), f2(out.fct.P99()), f2(out.fct.Mean()),
+			f0(float64(out.completed)), f0(float64(out.arrivals)),
+		},
 	}
-	res.Tables = append(res.Tables, table)
-	res.note("%d connection groups per cell, Poisson %.0f arrivals/s/group × Pareto(1.5) sizes of mean %.0f pkts, shared recvbuf %d pkts; groups coupled by ring transit bursts over sharded pipes",
-		fleetDomains, fleetRate, fleetMeanPkts, fleetRecvBuf)
-	return res
 }
 
 // runFleetCell simulates one (algorithm × scheduler) cell on a sharded

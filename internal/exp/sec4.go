@@ -68,7 +68,7 @@ func startFlows(w *world, rng *rand.Rand, src, dst []int, alg core.Algorithm, pa
 		} else {
 			a = freshAlg(alg)
 		}
-		c := transport.NewConn(w.n, transport.Config{Alg: a, Paths: p})
+		c := transport.NewConn(w.n, transport.Config{Alg: a, Paths: p, Tracer: w.tr})
 		// Desynchronise starts across a few milliseconds.
 		w.s.At(sim.Time(rng.Int63n(int64(5*sim.Millisecond))), c.Start)
 		conns = append(conns, c)
@@ -127,43 +127,37 @@ type dcAlgCase struct {
 
 var dcTPNames = []string{"TP1", "TP2", "TP3"}
 
-func runTableFatTree(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("table-fattree")
-	k, _, _ := dcSizes(cfg)
-	warm, end := cfg.dur(4*sim.Second), cfg.dur(10*sim.Second)
+// dcFabric is the view of a §4 data-centre topology the per-host
+// throughput tables need.
+type dcFabric interface {
+	NumHosts() int
+	ECMPPath(rng *rand.Rand, src, dst int) transport.Path
+	Paths(rng *rand.Rand, src, dst, m int) []transport.Path
+}
 
-	table := Table{
-		Title: "FatTree per-host throughput (Mb/s); paper: single 51/94/60, EWTCP 92/92.5/99, MPTCP 95/97/99",
-		Cols:  []string{"algorithm", "TP1", "TP2", "TP3"},
-	}
-	cases := []dcAlgCase{
-		{"SINGLE-PATH", core.Regular{}, 1},
-		{"EWTCP", core.EWTCP{}, 8},
-		{"MPTCP", &core.MPTCP{}, 8},
-	}
-	// One cell per (algorithm case, traffic pattern) pair.
+// runDCTable fills table with one cell per (algorithm case, traffic
+// pattern) pair: per-host throughput on the fabric that build returns
+// with its topology-specific TP2 pattern. Workload randomness derives
+// from the base seed plus rngOff, not the cell seed: every algorithm
+// must be measured on the identical traffic matrix for the table to
+// compare algorithms.
+func runDCTable(cfg Config, res *Result, table Table, cases []dcAlgCase, rngOff int64,
+	build func(rng *rand.Rand) (dcFabric, func() (src, dst []int))) {
+	warm, end := cfg.dur(4*sim.Second), cfg.dur(10*sim.Second)
 	vals := RunCells(cfg, len(cases)*len(dcTPNames), func(cell Config, idx int) float64 {
 		tc := cases[idx/len(dcTPNames)]
-		tpName := dcTPNames[idx%len(dcTPNames)]
 		w := newWorld(cell.Seed)
-		// Workload randomness derives from the base seed, not the cell
-		// seed: every algorithm must be measured on the identical
-		// traffic matrix for the table to compare algorithms.
-		rng := rand.New(rand.NewSource(cfg.Seed + 7))
-		ft := topo.NewFatTree(topo.FatTreeConfig{K: k})
-		n := ft.NumHosts()
-		tp2 := func() (src, dst []int) { return traffic.OneToMany(rng, n, 12) }
-		src, dst := dcPatterns(rng, n, tp2)[tpName]()
+		rng := rand.New(rand.NewSource(cfg.Seed + rngOff))
+		fab, tp2 := build(rng)
+		src, dst := dcPatterns(rng, fab.NumHosts(), tp2)[dcTPNames[idx%len(dcTPNames)]]()
 		pf := func(rng *rand.Rand, s, d int) []transport.Path {
 			if tc.paths == 1 {
-				return []transport.Path{ft.ECMPPath(rng, s, d)}
+				return []transport.Path{fab.ECMPPath(rng, s, d)}
 			}
-			return ft.Paths(rng, s, d, tc.paths)
+			return fab.Paths(rng, s, d, tc.paths)
 		}
 		conns := startFlows(w, rng, src, dst, freshAlg(tc.alg), pf)
-		rates := w.measure(conns, warm, end)
-		return perHost(src, rates)
+		return perHost(src, w.measure(conns, warm, end))
 	})
 	for ci, tc := range cases {
 		row := []string{tc.name}
@@ -175,6 +169,25 @@ func runTableFatTree(cfg Config) *Result {
 		table.Rows = append(table.Rows, row)
 	}
 	res.Tables = append(res.Tables, table)
+}
+
+func runTableFatTree(cfg Config) *Result {
+	cfg = cfg.norm()
+	res := newResult("table-fattree")
+	k, _, _ := dcSizes(cfg)
+	table := Table{
+		Title: "FatTree per-host throughput (Mb/s); paper: single 51/94/60, EWTCP 92/92.5/99, MPTCP 95/97/99",
+		Cols:  []string{"algorithm", "TP1", "TP2", "TP3"},
+	}
+	cases := []dcAlgCase{
+		{"SINGLE-PATH", core.Regular{}, 1},
+		{"EWTCP", core.EWTCP{}, 8},
+		{"MPTCP", &core.MPTCP{}, 8},
+	}
+	runDCTable(cfg, res, table, cases, 7, func(rng *rand.Rand) (dcFabric, func() (src, dst []int)) {
+		ft := topo.NewFatTree(topo.FatTreeConfig{K: k})
+		return ft, func() (src, dst []int) { return traffic.OneToMany(rng, ft.NumHosts(), 12) }
+	})
 	if k != 8 {
 		res.note("scaled-down fabric (k=%d); run with -scale 1 for the paper's 128-host FatTree", k)
 	}
@@ -344,8 +357,6 @@ func runTableBCube(cfg Config) *Result {
 	cfg = cfg.norm()
 	res := newResult("table-bcube")
 	_, bn, bk := dcSizes(cfg)
-	warm, end := cfg.dur(4*sim.Second), cfg.dur(10*sim.Second)
-
 	table := Table{
 		Title: "BCube per-host throughput (Mb/s); paper: single 64.5/297/78, EWTCP 84/229/139, MPTCP 86.5/272/135",
 		Cols:  []string{"algorithm", "TP1", "TP2", "TP3"},
@@ -355,19 +366,13 @@ func runTableBCube(cfg Config) *Result {
 		{"EWTCP", core.EWTCP{}, 3},
 		{"MPTCP", &core.MPTCP{}, 3},
 	}
-	vals := RunCells(cfg, len(cases)*len(dcTPNames), func(cell Config, idx int) float64 {
-		tc := cases[idx/len(dcTPNames)]
-		tpName := dcTPNames[idx%len(dcTPNames)]
-		w := newWorld(cell.Seed)
-		// Base-seed workload, as in runTableFatTree.
-		rng := rand.New(rand.NewSource(cfg.Seed + 17))
+	runDCTable(cfg, res, table, cases, 17, func(*rand.Rand) (dcFabric, func() (src, dst []int)) {
 		bc := topo.NewBCube(topo.BCubeConfig{N: bn, K: bk})
-		n := bc.NumHosts()
 		// TP2 on BCube: every host replicates to its one-hop
 		// neighbours at all levels (the paper's "replicas onto
 		// hosts physically close in the network").
-		tp2 := func() (src, dst []int) {
-			for h := 0; h < n; h++ {
+		return bc, func() (src, dst []int) {
+			for h := 0; h < bc.NumHosts(); h++ {
 				for l := 0; l < bc.Levels(); l++ {
 					for _, nb := range bc.Neighbors(h, l) {
 						src = append(src, h)
@@ -377,27 +382,7 @@ func runTableBCube(cfg Config) *Result {
 			}
 			return src, dst
 		}
-		src, dst := dcPatterns(rng, n, tp2)[tpName]()
-		pf := func(rng *rand.Rand, s, d int) []transport.Path {
-			if tc.paths == 1 {
-				return []transport.Path{bc.ECMPPath(rng, s, d)}
-			}
-			return bc.Paths(rng, s, d, tc.paths)
-		}
-		conns := startFlows(w, rng, src, dst, freshAlg(tc.alg), pf)
-		rates := w.measure(conns, warm, end)
-		return perHost(src, rates)
 	})
-	for ci, tc := range cases {
-		row := []string{tc.name}
-		for ti, tpName := range dcTPNames {
-			v := vals[ci*len(dcTPNames)+ti]
-			row = append(row, f1(v))
-			res.Metrics[tc.name+"_"+tpName+"_mbps"] = v
-		}
-		table.Rows = append(table.Rows, row)
-	}
-	res.Tables = append(res.Tables, table)
 	res.note("three phenomena (§4): multipath exploits all 3 NICs (TP3); EWTCP ignores congestion differences on unequal-hop paths (TP2); single shortest paths beat multipath when the short paths are also least congested (TP2)")
 	if bn != 5 {
 		res.note("scaled-down BCube(%d,%d); run with -scale 1 for the paper's 125-host BCube(5,2)", bn, bk)

@@ -2,14 +2,12 @@ package exp
 
 import (
 	"math/rand"
-	"strings"
 
 	"mptcp/internal/cc"
 	"mptcp/internal/core"
 	"mptcp/internal/model"
 	"mptcp/internal/sim"
 	"mptcp/internal/topo"
-	"mptcp/internal/traffic"
 	"mptcp/internal/transport"
 )
 
@@ -19,175 +17,62 @@ func init() {
 		Ref: "cc registry × §3–§5",
 		Desc: "Full algorithm grid (every registered algorithm, incl. OLIA/BALIA/WVEGAS) across torus, " +
 			"dual-homed server, FatTree and WiFi+3G: per-(algorithm × topology) throughput and Jain fairness.",
-		Run: runTournament,
+		// Algorithm-major: registering a new algorithm appends its cells
+		// at the end, leaving every existing cell's derived seed
+		// untouched. (Adding a topology reshuffles all cell seeds.)
+		Grid: &Grid{
+			Axes: []Axis{
+				{"algorithm", cc.Names()},
+				{"topology", []string{"torus", "dualhomed", "fattree", "wifi3g"}},
+			},
+			Title: "Tournament: total throughput Mb/s (Jain's fairness index) per algorithm × topology",
+			Note:  "grid spans the paper's five algorithms plus the Linux-kernel family (OLIA, BALIA, delay-based WVEGAS); REGULAR runs uncoupled over the same path set — the §2.1 strawman",
+			Cell:  tournamentCell,
+		},
 	})
 }
 
-// tourTopo is one topology column of the tournament grid. run builds
-// the scenario from the cell's world seed, drives one algorithm through
-// it, and reports (total throughput in Mb/s, Jain's fairness index over
-// the scenario's flow rates). base is the run's base seed: workload
-// randomness (traffic matrices, path choices) derives from it so every
-// algorithm is measured on the identical workload, exactly as in the §4
-// experiments.
-type tourTopo struct {
-	name string
-	run  func(cell Config, base int64, alg core.Algorithm) (mbps, jain float64)
-}
-
-func tourTopos() []tourTopo {
-	return []tourTopo{
-		{"torus", tourTorus},
-		{"dualhomed", tourDualHomed},
-		{"fattree", tourFatTree},
-		{"wifi3g", tourWiFi3G},
+// tournamentCell drives one algorithm through one topology and reports
+// the total throughput in Mb/s and Jain's fairness index over the
+// scenario's flow rates. On the shared columns the throughput is the
+// multipath aggregate, so an algorithm that starves the background
+// TCPs (or its own flows) scores low on fairness, not throughput.
+func tournamentCell(c *Cell) CellOut {
+	alg, tp := newAlg(c.V[0]), c.V[1]
+	var mbps, jain float64
+	if tp == "fattree" {
+		mbps, jain = fatTreeCell(c, alg)
+	} else {
+		col := columns[tp]
+		out := col.run(c.world(), flowCfg{alg: alg}, "", c.dur(col.warm), c.dur(col.end))
+		mbps, jain = out.mbps, out.jain
+	}
+	return CellOut{
+		Record: Record{Metrics: map[string]float64{"mbps": mbps, "jain": jain}},
+		Head:   []string{"mbps", "jain"},
+		Text:   []string{f1(mbps) + " (" + f2(jain) + ")"},
 	}
 }
 
-func runTournament(cfg Config) *Result {
-	cfg = cfg.norm()
-	res := newResult("tournament")
-	algs := cc.Names()
-	topos := tourTopos()
-
-	// One cell per (algorithm, topology) pair in algorithm-major order:
-	// registering a new algorithm appends its cells at the end, leaving
-	// every existing cell's derived seed untouched. (Adding a topology
-	// column, by contrast, reshuffles all cell seeds and resets any
-	// recorded baselines.)
-	type cellOut struct{ mbps, jain float64 }
-	cells := RunCells(cfg, len(algs)*len(topos), func(cell Config, idx int) cellOut {
-		alg := newAlg(algs[idx/len(topos)])
-		tp := topos[idx%len(topos)]
-		m, j := tp.run(cell, cfg.Seed, alg)
-		return cellOut{mbps: m, jain: j}
-	})
-
-	table := Table{
-		Title: "Tournament: total throughput Mb/s (Jain's fairness index) per algorithm × topology",
-		Cols:  []string{"algorithm"},
-	}
-	for _, tp := range topos {
-		table.Cols = append(table.Cols, tp.name)
-	}
-	for ai, name := range algs {
-		row := []string{name}
-		for ti, tp := range topos {
-			c := cells[ai*len(topos)+ti]
-			row = append(row, f1(c.mbps)+" ("+f2(c.jain)+")")
-			key := strings.ToLower(name) + "_" + tp.name
-			res.Metrics[key+"_mbps"] = c.mbps
-			res.Metrics[key+"_jain"] = c.jain
-			res.Records = append(res.Records, Record{
-				Algorithm: name,
-				Topology:  tp.name,
-				Metrics:   map[string]float64{"mbps": c.mbps, "jain": c.jain},
-			})
-		}
-		table.Rows = append(table.Rows, row)
-	}
-	res.Tables = append(res.Tables, table)
-	res.note("grid spans the paper's five algorithms plus the Linux-kernel family (OLIA, BALIA, delay-based WVEGAS); REGULAR runs uncoupled over the same path set — the §2.1 strawman")
-	return res
-}
-
-// tourTorus is §3's five-link torus (link C at half capacity) with five
-// two-path flows, all driven by the algorithm under test.
-func tourTorus(cell Config, _ int64, alg core.Algorithm) (float64, float64) {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(30*sim.Second), cell.dur(130*sim.Second)
-	tor := topo.NewTorus([]float64{1000, 1000, 500, 1000, 1000}, 100*sim.Millisecond)
-	conns := make([]*transport.Conn, 5)
-	for i := range conns {
-		conns[i] = transport.NewConn(w.n, transport.Config{
-			Alg:   freshAlg(alg),
-			Paths: tor.FlowPaths(i),
-		})
-		conns[i].Start()
-	}
-	rates := w.measure(conns, warm, end)
-	return sumRates(rates), model.JainIndex(rates)
-}
-
-// tourDualHomed is §3's multihomed server: 2 TCPs on link 1, 6 on
-// link 2, and 4 multipath flows of the algorithm under test across
-// both. Throughput is the multipath aggregate; fairness is Jain's index
-// over all twelve flows, so an algorithm that starves either TCP group
-// (or its own flows) scores low.
-func tourDualHomed(cell Config, _ int64, alg core.Algorithm) (float64, float64) {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(20*sim.Second), cell.dur(120*sim.Second)
-	rtt := 20 * sim.Millisecond
-	d := topo.NewDualHomed(100, rtt/2, topo.BDPPackets(100, rtt))
-	var conns []*transport.Conn
-	addTCP := func(link, n int) {
-		for i := 0; i < n; i++ {
-			c := transport.NewConn(w.n, transport.Config{Paths: d.ClientPath(link)})
-			c.Start()
-			conns = append(conns, c)
-		}
-	}
-	addTCP(1, 2)
-	addTCP(2, 6)
-	nTCP := len(conns)
-	for i := 0; i < 4; i++ {
-		c := transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: d.MultipathPaths()})
-		c.Start()
-		conns = append(conns, c)
-	}
-	rates := w.measure(conns, warm, end)
-	return sumRates(rates[nTCP:]), model.JainIndex(rates)
-}
-
-// tourFatTree is §4's FatTree under the TP1 permutation traffic
+// fatTreeCell is §4's FatTree under the TP1 permutation traffic
 // pattern, every flow using the algorithm under test over the usual
 // path count. The workload rng derives from the base seed so all
 // algorithms race on the identical permutation and path choices.
 // Throughput is the mean per-host rate; fairness is Jain's index over
 // the per-flow rates.
-func tourFatTree(cell Config, base int64, alg core.Algorithm) (float64, float64) {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(4*sim.Second), cell.dur(10*sim.Second)
-	k, _, _ := dcSizes(cell)
+func fatTreeCell(c *Cell, alg core.Algorithm) (float64, float64) {
+	w := c.world()
+	warm, end := c.dur(4*sim.Second), c.dur(10*sim.Second)
+	k, _, _ := dcSizes(c.Config)
 	nPaths := 8
 	if k < 8 {
 		nPaths = 4
 	}
-	rng := rand.New(rand.NewSource(base + 23))
+	rng := rand.New(rand.NewSource(c.Base + 23))
 	ft := topo.NewFatTree(topo.FatTreeConfig{K: k})
-	d := traffic.Permutation(rng, ft.NumHosts())
-	var src, dst []int
-	for s, t := range d {
-		src = append(src, s)
-		dst = append(dst, t)
-	}
+	src, dst := dcPatterns(rng, ft.NumHosts(), nil)["TP1"]()
 	pf := func(rng *rand.Rand, s, t int) []transport.Path { return ft.Paths(rng, s, t, nPaths) }
 	conns := startFlows(w, rng, src, dst, alg, pf)
 	rates := w.measure(conns, warm, end)
 	return perHost(src, rates), model.JainIndex(rates)
-}
-
-// tourWiFi3G is §5's busy wireless client: the multipath flow under
-// test against one competing TCP on each radio. Throughput is the
-// multipath flow's; fairness is Jain's index across all three flows.
-func tourWiFi3G(cell Config, _ int64, alg core.Algorithm) (float64, float64) {
-	w := newWorld(cell.Seed)
-	warm, end := cell.dur(30*sim.Second), cell.dur(230*sim.Second)
-	wl := busyWireless()
-	mp := transport.NewConn(w.n, transport.Config{Alg: freshAlg(alg), Paths: wl.Paths()})
-	tcpW := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[:1]})
-	tcpG := transport.NewConn(w.n, transport.Config{Paths: wl.Paths()[1:]})
-	mp.Start()
-	tcpW.Start()
-	tcpG.Start()
-	rates := w.measure([]*transport.Conn{mp, tcpW, tcpG}, warm, end)
-	return rates[0], model.JainIndex(rates)
-}
-
-func sumRates(rates []float64) float64 {
-	t := 0.0
-	for _, r := range rates {
-		t += r
-	}
-	return t
 }
