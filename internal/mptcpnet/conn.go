@@ -4,15 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mptcp/internal/cc"
 	"mptcp/internal/core"
+	"mptcp/internal/endpoint"
 	"mptcp/internal/sched"
+	"mptcp/internal/sim"
 	"mptcp/internal/trace"
 )
 
@@ -20,66 +20,42 @@ import (
 type Config struct {
 	// Alg is the coupled congestion controller; defaults to &core.MPTCP{}.
 	Alg core.Algorithm
-	// Sched picks the subflow for each new segment (any scheduler from
-	// internal/sched's registry); defaults to minRTT, the Linux MPTCP
-	// default and this stack's historical behaviour.
+	// Sched picks the subflow for each new segment; defaults to minRTT,
+	// the Linux MPTCP default.
 	Sched sched.Scheduler
 	// SchedOpts enables the §6 receive-buffer-blocking countermeasures
-	// (opportunistic retransmission, subflow penalization); both default
-	// off.
+	// (opportunistic retransmission, penalization); both default off.
 	SchedOpts sched.Options
 	// MinRTO bounds the retransmission timer (default 200 ms).
 	MinRTO time.Duration
 	// Logf, if set, receives debug traces.
 	Logf func(format string, args ...any)
-	// Tracer, when non-nil, records the sender's protocol events (cwnd
-	// changes, RTT samples, losses, retransmissions, scheduler picks, §6
-	// countermeasures) into internal/trace ring buffers, stamped on the
-	// tracer's clock — construct it with trace.WallNow for this wall-
-	// clock stack. nil (the default) disables tracing at zero cost.
+	// Tracer, when non-nil, records the sender's protocol events into
+	// internal/trace ring buffers; construct it with trace.WallNow for
+	// this wall-clock stack. nil disables tracing at zero cost.
 	Tracer *trace.Tracer
 }
 
 // Sender is the transmitting side of a multipath connection. It
 // implements io.WriteCloser; Write blocks when both the send buffer and
-// the network are full, providing backpressure.
+// the network are full. The protocol is the endpoint.Sender core, run
+// under mu on the time since start; the Sender adds framing, payloads,
+// a FIFO writer and an ACK reader per subflow, timers and the FIN.
 type Sender struct {
 	cfg    Config
 	connID uint64
 	subs   []*sendSubflow
-	alg    core.Algorithm
+	start  time.Time
 
-	// Optional algorithm hooks (internal/cc's extended contract),
-	// resolved once; nil when the algorithm does not implement them.
-	// Invoked with mu held, like every other algorithm call.
-	rttObs  cc.RTTObserver
-	lossObs cc.LossObserver
-
-	// Scheduler state (all used with mu held): the configured scheduler,
-	// whether it duplicates segments across subflows (resolved once,
-	// like the cc hooks), and a scratch View slice rebuilt per pick.
-	sched     sched.Scheduler
-	redundant bool
-	views     []sched.View
-	// dupNxt is the redundant scheduler's per-subflow replay frontier:
-	// the next data sequence subflow i should (re)carry. Nil unless the
-	// scheduler duplicates.
-	dupNxt []int64
-
-	// oppSeq remembers the last data sequence opportunistically
-	// retransmitted, so each receive-buffer-blocking segment is re-sent
-	// at most once (§6 countermeasures).
-	oppSeq int64
-
-	mu         sync.Mutex
-	cond       *sync.Cond
-	cc         []core.Subflow
-	sendBuf    [][]byte // segments not yet assigned a data sequence
-	segs       map[int64][]byte
-	dataNxt    int64
-	dataUna    int64
-	edge       int64 // flow-control edge (dataAck + window)
-	reinj      []int64
+	mu   sync.Mutex
+	cond *sync.Cond
+	ep   endpoint.Sender
+	// segs holds the payloads of data sequences [segBase, segBase+len):
+	// everything written and not yet data-acknowledged.
+	segs       [][]byte
+	segBase    int64
+	persist    *time.Timer
+	persistAt  time.Time // zero while the persist timer is stopped
 	closed     bool
 	finSent    bool
 	finRetries int
@@ -87,21 +63,7 @@ type Sender struct {
 	done       chan struct{} // closed once the stream is fully acknowledged
 	doneClosed bool
 
-	// Counters, guarded by mu; snapshotted coherently by Stats().
-	segsSent  int64
-	segsRetx  int64
-	reinjects int64
-	oppRetx   int64
-	penalties int64
-
-	// corrupt counts inbound frames dropped by the checksum; atomic (not
-	// mu) because readLoop bumps it without taking the connection lock.
-	corrupt atomic.Int64
-
-	// tracer is nil unless Config.Tracer enabled tracing; traceID is the
-	// sender's tracer-scoped connection ID.
-	tracer  *trace.Tracer
-	traceID int32
+	corrupt atomic.Int64 // frames failing the checksum; bumped without mu
 }
 
 type sendSubflow struct {
@@ -110,75 +72,30 @@ type sendSubflow struct {
 	remote net.Addr
 	parent *Sender
 
-	// sendQ feeds the subflow's single writer goroutine (writeLoop):
-	// socket writes leave in exactly the order transmit queued them.
-	// One goroutine per WriteTo (the previous design) let the scheduler
-	// reorder in-subflow transmissions, manufacturing spurious dupSACKs
-	// and fast retransmits on a loss-free path.
+	// sendQ feeds the subflow's single writer (writeLoop): segments hit
+	// the socket in the order the core sent them, so a loss-free path
+	// sees no spurious reordering.
 	sendQ chan []byte
-
-	sndNxt, sndUna int64
-	meta           map[int64]*sentSeg
-	dupSacks       int64
-	recover        int64
-	inRec          bool
-
-	srtt, rttvar, rto time.Duration
-	timer             *time.Timer
-	timerOn           bool
-	start             time.Time
-
-	// rtoStreak counts consecutive RTOs since this subflow last made
-	// cumulative-ACK progress; when every subflow's streak reaches
-	// maxRTOStreak the sender gives up. Guarded by the parent's mu.
-	rtoStreak int
-
-	// nextPenalty rate-limits receive-buffer penalization (§6) to once
-	// per RTT on this subflow. Guarded by the parent's mu.
-	nextPenalty time.Time
-
-	rng *rand.Rand
+	timer *time.Timer
+	rtoAt time.Time // the timer's deadline, zero while stopped
 }
 
-// sentSeg is the sender-side scoreboard entry for one outstanding
-// segment. RTT comes from the echoed timestamp (with retransmission-
-// ambiguous samples suppressed via retx, Karn's rule), so no per-segment
-// send time is kept.
-type sentSeg struct {
-	dataSeq int64
-	sacked  bool
-	retx    bool
-}
-
-// defaultWindow is the conservative flow-control edge assumed until the
-// first ACK advertises the receiver's real shared-buffer window.
-const defaultWindow = 64
-
-// maxRTO bounds the retransmission timer (RFC 6298 §2.5 allows a maximum
-// of at least 60 seconds; the simulator transport applies the same cap).
-const maxRTO = 60 * time.Second
-
-// maxFinRetries bounds the FIN retransmission chain when the peer never
-// acknowledges: after this many (exponentially backed-off) attempts the
-// sender gives up and releases its goroutines instead of rescheduling
-// timers forever.
-const maxFinRetries = 12
-
-// maxRTOStreak is the data-level give-up bound: when EVERY subflow has
-// suffered this many consecutive retransmission timeouts with no
-// cumulative-ACK progress anywhere, the connection is dead end to end
-// (all radios gone and staying gone) and the sender aborts with an error
-// rather than retransmitting forever — the transfers-complete-or-fail
-// invariant the chaos harness asserts. A single live subflow resets its
-// own streak on every ACK, so no amount of chaos on the other paths
-// trips this while one path still delivers. Eight doublings put the
-// final wait at 256× the measured RTO — patient enough to ride out any
-// plausible congestion event, yet bounded (seconds to about a minute)
-// rather than the hours twelve doublings would cost.
-const maxRTOStreak = 8
-
-// sendQueueCap is the per-subflow writer queue depth, in segments.
-const sendQueueCap = 512
+const (
+	// defaultWindow is the flow-control edge assumed until the first ACK
+	// advertises the receiver's shared-buffer window.
+	defaultWindow = 64
+	// maxFinRetries bounds the FIN retransmission chain when the peer
+	// never acknowledges: the sender then gives up.
+	maxFinRetries = 12
+	// maxRTOStreak is the data-level give-up bound: when EVERY subflow's
+	// RTO has backed off this many times without cumulative-ACK
+	// progress, the connection is dead end to end and the sender aborts
+	// with an error (the transfers-complete-or-fail invariant of the
+	// chaos harness). A live subflow resets its backoff on every ACK, so
+	// chaos on other paths never trips this.
+	maxRTOStreak = 8
+	sendQueueCap = 512 // per-subflow writer queue depth, in segments
+)
 
 // NewSender builds a sender whose subflow i talks over conns[i] to
 // remotes[i]. The caller owns the PacketConns until Close.
@@ -195,50 +112,28 @@ func NewSender(connID uint64, conns []net.PacketConn, remotes []net.Addr, cfg Co
 	if cfg.MinRTO <= 0 {
 		cfg.MinRTO = 200 * time.Millisecond
 	}
-	s := &Sender{
-		cfg:    cfg,
-		connID: connID,
-		alg:    cfg.Alg,
-		sched:  cfg.Sched,
-		segs:   make(map[int64][]byte),
-		edge:   defaultWindow,
-		done:   make(chan struct{}),
-		oppSeq: -1,
-		tracer: cfg.Tracer,
-	}
-	s.traceID = cfg.Tracer.ConnID() // nil-safe: -1 when tracing is off
-	s.rttObs, _ = s.alg.(cc.RTTObserver)
-	s.lossObs, _ = s.alg.(cc.LossObserver)
-	if d, ok := s.sched.(sched.Duplicator); ok {
-		s.redundant = d.Duplicates()
-	}
-	if s.redundant {
-		s.dupNxt = make([]int64, len(conns))
-	}
-	s.views = make([]sched.View, len(conns))
+	s := &Sender{cfg: cfg, connID: connID, start: time.Now(), done: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
-	now := time.Now()
+	s.persist = stoppedTimer(s.onPersist)
 	for i := range conns {
-		sf := &sendSubflow{
-			id:     i,
-			conn:   conns[i],
-			remote: remotes[i],
-			parent: s,
-			sendQ:  make(chan []byte, sendQueueCap),
-			meta:   make(map[int64]*sentSeg),
-			rto:    time.Second,
-			start:  now,
-			rng:    rand.New(rand.NewSource(int64(connID)*31 + int64(i))),
-		}
+		sf := &sendSubflow{id: i, conn: conns[i], remote: remotes[i], parent: s, sendQ: make(chan []byte, sendQueueCap)}
+		sf.timer = stoppedTimer(sf.onRTO)
 		s.subs = append(s.subs, sf)
-		s.cc = append(s.cc, core.Subflow{Cwnd: 2, SSThresh: 1 << 30})
 	}
+	s.ep.Init(endpoint.Config{
+		Alg: cfg.Alg, Sched: cfg.Sched, SchedOpts: cfg.SchedOpts, Subflows: len(conns),
+		Window: defaultWindow, InitialCwnd: 2, MinRTO: sim.Time(cfg.MinRTO), Tracer: cfg.Tracer,
+	}, (*senderOut)(s))
+	s.ep.Start(0)
 	for _, sf := range s.subs {
 		go sf.readLoop()
 		go sf.writeLoop()
 	}
 	return s
 }
+
+// now is the core's clock: the time since the sender was built.
+func (s *Sender) now() sim.Time { return sim.Time(time.Since(s.start)) }
 
 // Write queues p for transmission, blocking on flow control. It
 // implements io.Writer over the data stream.
@@ -250,30 +145,29 @@ func (s *Sender) Write(p []byte) (int, error) {
 	}
 	n := 0
 	for len(p) > 0 {
-		seg := p
-		if len(seg) > MaxPayload {
-			seg = seg[:MaxPayload]
-		}
+		seg := p[:min(len(p), MaxPayload)]
 		// Backpressure: cap the unassigned queue — but keep the network
 		// pumped before blocking, or nothing would ever drain it.
-		if len(s.sendBuf) > 1024 {
+		if s.unassignedLocked() > 1024 {
 			s.pumpLocked()
-			for len(s.sendBuf) > 1024 && s.err == nil && !s.closed {
+			for s.unassignedLocked() > 1024 && s.err == nil && !s.closed {
 				s.cond.Wait()
 			}
 		}
 		if s.err != nil {
 			return n, s.err
 		}
-		buf := make([]byte, len(seg))
-		copy(buf, seg)
-		s.sendBuf = append(s.sendBuf, buf)
+		s.segs = append(s.segs, append([]byte(nil), seg...))
+		s.ep.Extend(1)
 		p = p[len(seg):]
 		n += len(seg)
 	}
 	s.pumpLocked()
 	return n, nil
 }
+
+func (s *Sender) totalLocked() int64      { return s.segBase + int64(len(s.segs)) }
+func (s *Sender) unassignedLocked() int64 { return s.totalLocked() - s.ep.DataNxt() }
 
 // Close marks the end of the stream; the FIN is delivered reliably. It
 // does not wait for acknowledgment — use Wait.
@@ -284,52 +178,63 @@ func (s *Sender) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.ep.Close()
 	s.pumpLocked()
-	s.maybeFinishLocked()
 	return nil
 }
 
 // Wait blocks until all data (and the FIN) has been acknowledged, or the
 // timeout expires.
 func (s *Sender) Wait(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	select {
+	case <-s.done:
+	case <-time.After(timeout):
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.finishedLocked() {
-		if s.err != nil {
-			return s.err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("mptcpnet: %d segments unacked at timeout", s.dataNxt-s.dataUna)
-		}
-		s.mu.Unlock()
-		time.Sleep(5 * time.Millisecond)
-		s.mu.Lock()
+	if s.err == nil && !s.doneClosed {
+		return fmt.Errorf("mptcpnet: %d segments unacked at timeout", s.totalLocked()-s.ep.DataUna())
 	}
-	s.maybeFinishLocked()
-	return nil
+	return s.err
 }
 
 func (s *Sender) finishedLocked() bool {
-	return s.closed && len(s.sendBuf) == 0 && s.dataUna >= s.dataNxt && s.finSent
+	return s.closed && s.finSent && s.ep.DataUna() >= s.totalLocked()
 }
 
-// maybeFinishLocked closes done once the stream is fully acknowledged.
-// The close releases the writer goroutines and terminates the FIN
-// retransmission chain, which previously leaked timers past Close.
-func (s *Sender) maybeFinishLocked() {
-	if s.doneClosed || !s.finishedLocked() {
-		return
+// pumpLocked runs the core's transmission pump, then settles.
+func (s *Sender) pumpLocked() {
+	s.ep.Pump(s.now())
+	s.settleLocked()
+}
+
+// settleLocked follows every core step: it drops acknowledged payloads,
+// sends the FIN once closed and fully assigned, wakes blocked writers
+// and finishes a fully acknowledged stream.
+func (s *Sender) settleLocked() {
+	if k := min(s.ep.DataUna()-s.segBase, int64(len(s.segs))); k > 0 {
+		clear(s.segs[:k])
+		s.segs, s.segBase = s.segs[k:], s.segBase+k
 	}
-	s.doneClosed = true
-	close(s.done)
-	s.stopTimersLocked()
+	if s.closed && !s.finSent && s.unassignedLocked() == 0 {
+		s.finSent = true
+		s.sendFinLocked()
+	}
 	s.cond.Broadcast()
+	s.maybeFinishLocked()
 }
 
-// abortLocked records err, closes done and wakes everyone: the sender is
-// giving up (e.g. the peer vanished and the FIN retry budget ran out, or
-// a subflow socket was closed under us).
+// maybeFinishLocked finishes the sender once the stream is fully
+// acknowledged.
+func (s *Sender) maybeFinishLocked() {
+	if !s.doneClosed && s.finishedLocked() {
+		s.abortLocked(nil)
+	}
+}
+
+// abortLocked finishes the sender, recording err (nil on success): done
+// closes, releasing the writers and ending the FIN chain, and the core
+// and every timer stop (a timer mid-fire is gated on doneClosed).
 func (s *Sender) abortLocked(err error) {
 	if s.err == nil {
 		s.err = err
@@ -338,371 +243,159 @@ func (s *Sender) abortLocked(err error) {
 		s.doneClosed = true
 		close(s.done)
 	}
-	s.stopTimersLocked()
-	s.cond.Broadcast()
-}
-
-// stopTimersLocked cancels every subflow's retransmission timer so a
-// finished or aborted sender stops rescheduling (onRTO and armTimer are
-// additionally gated on doneClosed for the timer that is mid-flight).
-func (s *Sender) stopTimersLocked() {
+	s.ep.Stop()
 	for _, sf := range s.subs {
-		if sf.timer != nil {
-			sf.timer.Stop()
-		}
-		sf.timerOn = false
+		sf.rtoAt = resetTimer(sf.timer, 0)
 	}
+	s.persistAt = resetTimer(s.persist, 0)
+	s.cond.Broadcast()
 }
 
 // Cwnd returns subflow i's congestion window in segments.
 func (s *Sender) Cwnd(i int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cc[i].Cwnd
+	return s.ep.CC[i].Cwnd
 }
 
-// Stats is one coherent snapshot of the sender's counters, taken under
-// a single lock acquisition so the fields are mutually consistent. It
-// replaces the former multi-return Stats()/SchedStats()/Corrupted()
-// trio, whose separate calls could interleave with progress and whose
-// counters therefore never described one instant.
+// Stats is one coherent snapshot of the sender's counters. OppRetx and
+// Penalties stay 0 unless Config.SchedOpts enables them.
 type Stats struct {
-	SegsSent  int64 // data segments transmitted (incl. retransmissions)
-	SegsRetx  int64 // subflow-level retransmissions
-	Reinjects int64 // data reinjections onto other subflows after RTOs
-	OppRetx   int64 // §6 opportunistic retransmissions of a blocking segment
-	Penalties int64 // §6 penalization window halvings
-	Corrupt   int64 // inbound frames dropped by the checksum
-	// SubflowSent is the count of segments assigned to each subflow
-	// (its subflow-sequence high-water mark), indexed by subflow ID.
-	SubflowSent []int64
+	SegsSent    int64   // data segment transmissions (incl. retransmissions)
+	SegsRetx    int64   // subflow-level retransmissions
+	Reinjects   int64   // data reinjections onto other subflows after RTOs
+	OppRetx     int64   // §6 opportunistic retransmissions of a blocking segment
+	Penalties   int64   // §6 penalization window halvings
+	Corrupt     int64   // inbound frames dropped by the checksum
+	SubflowSent []int64 // segments assigned to each subflow (its sndNxt)
 }
 
-// Stats returns a coherent snapshot of every sender counter. OppRetx
-// and Penalties stay 0 unless Config.SchedOpts enables the §6
-// countermeasures.
+// Stats returns a snapshot of every sender counter, taken under one lock.
 func (s *Sender) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		SegsSent:    s.segsSent,
-		SegsRetx:    s.segsRetx,
-		Reinjects:   s.reinjects,
-		OppRetx:     s.oppRetx,
-		Penalties:   s.penalties,
+		Reinjects:   s.ep.Reinjects,
+		OppRetx:     s.ep.OppRetx,
+		Penalties:   s.ep.Penalties,
 		Corrupt:     s.corrupt.Load(),
 		SubflowSent: make([]int64, len(s.subs)),
 	}
-	for i, sf := range s.subs {
-		st.SubflowSent[i] = sf.sndNxt
+	for i := range s.subs {
+		sf := s.ep.Subflow(i)
+		st.SegsSent += sf.PktsSent
+		st.SegsRetx += sf.PktsRetx
+		st.SubflowSent[i] = sf.Sent()
 	}
 	return st
 }
 
-// popData returns the next data sequence to send, preferring
-// reinjections; ok=false when nothing is sendable.
-func (s *Sender) popDataLocked() (seq int64, fin bool, ok bool) {
-	for len(s.reinj) > 0 {
-		d := s.reinj[0]
-		s.reinj = s.reinj[1:]
-		if d >= s.dataUna {
-			if _, have := s.segs[d]; have {
-				return d, false, true
-			}
-		}
+// senderOut is the Sender's endpoint.Out (called with mu held).
+type senderOut Sender
+
+// Send frames a data segment with its payload (empty once the data is
+// acknowledged at the data level: the receiver then needs the subflow
+// sequence only).
+func (o *senderOut) Send(i int, seq, dataSeq int64, _ bool) {
+	var payload []byte
+	if k := dataSeq - o.segBase; k >= 0 && k < int64(len(o.segs)) {
+		payload = o.segs[k]
 	}
-	if len(s.sendBuf) == 0 {
-		if s.closed && !s.finSent && s.dataNxt >= s.dataUna {
-			return 0, true, true
-		}
-		return 0, false, false
-	}
-	if s.dataNxt >= s.edge {
-		return 0, false, false // flow control
-	}
-	seq = s.dataNxt
-	s.segs[seq] = s.sendBuf[0]
-	s.sendBuf = s.sendBuf[1:]
-	s.dataNxt++
-	s.cond.Broadcast()
-	return seq, false, true
+	o.emit(i, header{Type: typeData, Seq: seq, DataSeq: dataSeq}, payload)
 }
 
-// pumpLocked lets every subflow with window space transmit, in scheduler
-// order — the paper's striping across subflows as windows open. When the
-// shared receive buffer blocks further assignment, the §6
-// countermeasures (if enabled) are applied before giving up.
-func (s *Sender) pumpLocked() {
-	if s.redundant {
-		s.pumpRedundantLocked()
-		return
-	}
-	for {
-		sf := s.pickLocked()
-		if sf == nil {
-			return
-		}
-		seq, fin, ok := s.popDataLocked()
-		if !ok {
-			s.rbufCountermeasuresLocked()
-			return
-		}
-		if fin {
-			s.finSent = true
-			s.sendFinLocked()
-			return
-		}
-		sf.sendData(seq)
-		if s.tracer != nil {
-			s.tracer.SchedPick(s.traceID, int32(sf.id), seq)
-		}
-	}
-}
+// Probe sends a zero-window probe, which the receiver answers with an
+// ACK carrying the current window.
+func (o *senderOut) Probe(i int) { o.emit(i, header{Type: typeProbe}, nil) }
 
-// pumpRedundantLocked drives the redundant scheduler: every subflow
-// keeps its own replay frontier (dupNxt) over the data stream and,
-// window permitting, carries every data sequence itself — the subflow
-// furthest ahead pulls new data, the others replay it. Frontiers skip
-// data the receiver already holds (below dataUna), so a subflow that
-// fell behind replays only the still-unacknowledged window, like
-// Linux's mptcp_redundant; later copies count as duplicate data at the
-// receiver and consume no shared buffer.
-func (s *Sender) pumpRedundantLocked() {
-	for progress := true; progress; {
-		progress = false
-		for i, sf := range s.subs {
-			if !s.spaceLocked(sf) {
-				continue
-			}
-			if s.dupNxt[i] < s.dataUna {
-				s.dupNxt[i] = s.dataUna
-			}
-			if s.dupNxt[i] < s.dataNxt {
-				if _, have := s.segs[s.dupNxt[i]]; have {
-					sf.sendData(s.dupNxt[i])
-				}
-				s.dupNxt[i]++
-				progress = true
-				continue
-			}
-			seq, fin, ok := s.popDataLocked()
-			if !ok {
-				continue
-			}
-			if fin {
-				s.finSent = true
-				s.sendFinLocked()
-				return
-			}
-			sf.sendData(seq)
-			if seq+1 > s.dupNxt[i] {
-				s.dupNxt[i] = seq + 1
-			}
-			progress = true
-		}
-	}
-}
+func (o *senderOut) SetRTO(i int, d sim.Time) { o.subs[i].rtoAt = resetTimer(o.subs[i].timer, d) }
+func (o *senderOut) SetPersist(d sim.Time)    { o.persistAt = resetTimer(o.persist, d) }
 
-// spaceLocked reports whether sf may carry a new segment: window room
-// and not in fast recovery.
-func (s *Sender) spaceLocked(sf *sendSubflow) bool {
-	w := int64(s.cc[sf.id].Cwnd)
-	if w < 1 {
-		w = 1
-	}
-	return sf.sndNxt-sf.sndUna < w && !sf.inRec
-}
-
-// pickLocked dispatches the subflow choice to the configured scheduler
-// over a scratch View slice, or nil when the scheduler declines.
-func (s *Sender) pickLocked() *sendSubflow {
-	for i, sf := range s.subs {
-		s.views[i] = sched.View{
-			Cwnd:     s.cc[i].Cwnd,
-			Inflight: sf.sndNxt - sf.sndUna,
-			SRTT:     sf.srtt.Seconds(),
-			Sendable: !sf.inRec,
-			Sent:     sf.sndNxt,
-		}
-	}
-	i := s.sched.Pick(sched.Ctx{Window: s.edge - s.dataNxt}, s.views)
-	if i < 0 {
-		return nil
-	}
-	return s.subs[i]
-}
-
-// rbufCountermeasuresLocked applies the paper's §6 remedies when the
-// shared receive buffer has blocked assignment (data queued but
-// dataNxt at the flow-control edge): opportunistically retransmit the
-// blocking segment — the data-level cumulative ack, parked on a slow
-// subflow — on the fastest other subflow with window space (once per
-// blocking segment), and halve the blocking subflow's congestion
-// window, at most once per its RTT. No-ops unless Config.SchedOpts
-// enables the countermeasures.
-func (s *Sender) rbufCountermeasuresLocked() {
-	if !s.cfg.SchedOpts.Any() || len(s.subs) < 2 {
-		return
-	}
-	if (len(s.sendBuf) == 0 && len(s.reinj) == 0) || s.dataNxt < s.edge {
-		return // app-limited, not flow-control-blocked
-	}
-	if _, have := s.segs[s.dataUna]; !have {
-		return // blocking segment already delivered; ACK in flight
-	}
-	// Gate before the blocker scan: while the connection stays blocked
-	// on the same segment, every ACK re-enters here, and once the
-	// opportunistic retransmission is spent and every penalty backoff is
-	// still running there is nothing left to do this round trip.
-	now := time.Now()
-	needOpp := s.cfg.SchedOpts.OpportunisticRetx && s.oppSeq != s.dataUna
-	needPen := false
-	if s.cfg.SchedOpts.Penalize {
-		for _, sf := range s.subs {
-			if !now.Before(sf.nextPenalty) {
-				needPen = true
-				break
-			}
-		}
-	}
-	if !needOpp && !needPen {
-		return
-	}
-	blocker := s.findBlockerLocked()
-	if blocker == nil {
-		return
-	}
-	if s.cfg.SchedOpts.Penalize && !now.Before(blocker.nextPenalty) {
-		cw := &s.cc[blocker.id]
-		if cw.Cwnd > 1 {
-			cw.Cwnd /= 2
-			if cw.Cwnd < 1 {
-				cw.Cwnd = 1
-			}
-			cw.SSThresh = cw.Cwnd
-			s.penalties++
-			if s.tracer != nil {
-				s.tracer.Penalty(s.traceID, int32(blocker.id), cw.Cwnd)
-			}
-		}
-		d := blocker.srtt
-		if d <= 0 {
-			d = s.cfg.MinRTO
-		}
-		blocker.nextPenalty = now.Add(d)
-	}
-	if needOpp {
-		for i, sf := range s.subs {
-			s.views[i] = sched.View{
-				Cwnd:     s.cc[i].Cwnd,
-				Inflight: sf.sndNxt - sf.sndUna,
-				SRTT:     sf.srtt.Seconds(),
-				Sendable: !sf.inRec,
-			}
-		}
-		if best := sched.PickMinRTT(s.views, blocker.id); best >= 0 {
-			s.subs[best].sendData(s.dataUna)
-			s.oppSeq = s.dataUna
-			s.oppRetx++
-			if s.tracer != nil {
-				s.tracer.OppRetx(s.traceID, int32(best), s.dataUna)
-			}
-		}
-	}
-}
-
-// findBlockerLocked returns the subflow holding the un-delivered
-// segment the receive window is stuck on (dataSeq == dataUna,
-// outstanding and not SACKed), or nil.
-func (s *Sender) findBlockerLocked() *sendSubflow {
-	for _, sf := range s.subs {
-		for _, m := range sf.meta {
-			if !m.sacked && m.dataSeq == s.dataUna {
-				return sf
-			}
-		}
-	}
-	return nil
-}
-
-func (s *Sender) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
-// --- subflow send machinery (all called with s.mu held unless noted) ---
-
-func (sf *sendSubflow) elapsedMicros() uint32 {
-	return uint32(time.Since(sf.start) / time.Microsecond)
-}
-
-func (sf *sendSubflow) sendData(dataSeq int64) {
-	s := sf.parent
-	seq := sf.sndNxt
-	sf.sndNxt++
-	sf.meta[seq] = &sentSeg{dataSeq: dataSeq}
-	sf.transmit(seq, false)
-	s.segsSent++
-}
-
-func (sf *sendSubflow) transmit(seq int64, retx bool) {
-	s := sf.parent
-	m := sf.meta[seq]
-	if m == nil {
-		return
-	}
-	payload := s.segs[m.dataSeq]
-	h := header{
-		Type:    typeData,
-		Subflow: uint16(sf.id),
-		ConnID:  s.connID,
-		Seq:     seq,
-		DataSeq: m.dataSeq,
-		Echo:    sf.elapsedMicros(),
-		Plen:    uint16(len(payload)),
-	}
-	buf := make([]byte, headerSize+len(payload))
+// emit stamps h for subflow i (connection, echo timestamp, payload
+// length), frames it with payload and queues it on the subflow's writer.
+func (o *senderOut) emit(i int, h header, payload []byte) (buf []byte, queued bool) {
+	h.Subflow, h.ConnID, h.Plen = uint16(i), o.connID, uint16(len(payload))
+	h.Echo = uint32((*Sender)(o).now() / sim.Microsecond)
+	buf = make([]byte, headerSize+len(payload))
 	h.marshal(buf)
 	copy(buf[headerSize:], payload)
 	sealFrame(buf)
-	m.retx = m.retx || retx
-	if retx {
-		s.segsRetx++
-		if s.tracer != nil {
-			s.tracer.Retx(s.traceID, int32(sf.id), seq)
-		}
-	}
-	// Arm only if no timer is pending: the RTO must track the oldest
-	// outstanding segment, not the most recent transmission.
-	if !sf.timerOn {
-		sf.armTimer()
-	}
-	sf.queueWrite(buf)
+	return buf, o.subs[i].queueWrite(buf)
 }
 
-// queueWrite hands buf to the subflow's writer goroutine, preserving the
-// transmission order decided under the lock, and reports whether the
-// segment was queued. Called with s.mu held, so it must never block: if
-// the writer has fallen sendQueueCap segments behind (a stalled socket),
-// the segment is dropped exactly as a congested path would drop it —
-// retransmission recovers it — rather than wedging every lock acquirer
-// (including Wait's deadline check) behind a dead PacketConn.
+// stoppedTimer returns a timer for resetTimer to arm: rearming in place
+// keeps the per-ACK path free of allocations.
+func stoppedTimer(fn func()) *time.Timer {
+	t := time.AfterFunc(time.Hour, fn)
+	t.Stop()
+	return t
+}
+
+// resetTimer arms t to fire after d, or stops it when d is 0. It returns
+// the new deadline (zero when stopped), taken before arming so the fire
+// can never precede it.
+func resetTimer(t *time.Timer, d sim.Time) time.Time {
+	if d == 0 {
+		t.Stop()
+		return time.Time{}
+	}
+	at := time.Now().Add(time.Duration(d))
+	t.Reset(time.Duration(d))
+	return at
+}
+
+// due reports whether a timer fire is still wanted: one that raced with
+// a stop or rearm finds its deadline zero or in the future.
+func due(at time.Time) bool { return !at.IsZero() && !time.Now().Before(at) }
+
+// onRTO fires subflow sf's retransmission timeout into the core, and
+// gives up once every subflow has backed off maxRTOStreak times.
+func (sf *sendSubflow) onRTO() {
+	s := sf.parent
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.doneClosed || !due(sf.rtoAt) {
+		return
+	}
+	sf.rtoAt = time.Time{}
+	s.ep.OnRTO(sf.id)
+	for i := range s.subs {
+		if s.ep.Subflow(i).Backoff() < maxRTOStreak {
+			s.settleLocked()
+			return
+		}
+	}
+	s.abortLocked(errors.New("mptcpnet: every subflow timed out repeatedly with no progress, giving up"))
+}
+
+func (s *Sender) onPersist() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.doneClosed || !due(s.persistAt) {
+		return
+	}
+	s.persistAt = time.Time{}
+	s.ep.OnPersist()
+}
+
+// queueWrite hands buf to the subflow's writer and reports whether it
+// was queued. Called with mu held, it never blocks: behind a stalled
+// socket the segment is dropped as a congested path would drop it.
 func (sf *sendSubflow) queueWrite(buf []byte) bool {
 	select {
 	case sf.sendQ <- buf:
 		return true
 	default:
-		sf.parent.logf("sf%d writer backlogged, dropping segment", sf.id)
+		if logf := sf.parent.cfg.Logf; logf != nil {
+			logf("sf%d writer backlogged, dropping segment", sf.id)
+		}
 		return false
 	}
 }
 
-// writeLoop is the subflow's single writer: it drains the FIFO send
-// queue so segments hit the socket in transmit order, and exits once the
-// connection is done — flushing anything queued first, because the final
-// FIN is queued in the same critical section that closes done and must
-// still reach the wire.
+// writeLoop is the subflow's single writer. Once the connection is done
+// it flushes the queue and exits: the final FIN may be queued in the
+// critical section that closes done.
 func (sf *sendSubflow) writeLoop() {
 	for {
 		select {
@@ -722,34 +415,28 @@ func (sf *sendSubflow) writeLoop() {
 }
 
 // sendFinLocked broadcasts the FIN on every subflow and arms the retry
-// chain. Broadcasting matters: the FIN is the one segment whose silent
-// loss the data machinery cannot recover (the receiver would never see
-// EOF), the retry chain stops as soon as the data stream is fully
-// acknowledged, and a FIN bound to a single subflow dies with that
-// path. Sending it on all subflows makes EOF delivery as reliable as
-// the best live path; the receiver treats repeated FINs idempotently.
+// chain. The FIN is the one segment the data machinery cannot recover,
+// and the chain stops once the data is acknowledged, so it rides every
+// path: EOF is as reliable as the best live one.
 func (s *Sender) sendFinLocked() {
-	for _, sf := range s.subs {
-		sf.transmitFin()
+	for i, sf := range s.subs {
+		if buf, ok := (*senderOut)(s).emit(i, header{Type: typeFin, Aux: s.totalLocked()}, nil); !ok {
+			// A backlogged writer must not drop the FIN, which has no
+			// ordering constraint: at most one bypass per subflow per try.
+			go sf.conn.WriteTo(buf, sf.remote) //nolint:errcheck // lossy path semantics
+		}
 	}
-	// Retransmit the FIN (with exponential backoff) until everything is
-	// acked. The chain is gated on done so it terminates as soon as the
-	// stream completes, and a retry budget stops it rescheduling forever
-	// when the peer is gone.
+	// Retransmit with backoff until the data is acked or the budget is
+	// spent.
 	delay := s.cfg.MinRTO << uint(s.finRetries)
-	if delay > maxRTO || delay <= 0 {
-		delay = maxRTO
+	if delay > time.Duration(endpoint.MaxRTO) || delay <= 0 {
+		delay = time.Duration(endpoint.MaxRTO)
 	}
 	s.finRetries++
 	time.AfterFunc(delay, func() {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.doneClosed || s.finishedLockedFin() {
+		if s.doneClosed || s.ep.DataUna() >= s.totalLocked() {
 			s.maybeFinishLocked()
 			return
 		}
@@ -761,42 +448,13 @@ func (s *Sender) sendFinLocked() {
 	})
 }
 
-// transmitFin puts one FIN on this subflow's wire.
-func (sf *sendSubflow) transmitFin() {
-	s := sf.parent
-	h := header{
-		Type:    typeFin,
-		Subflow: uint16(sf.id),
-		ConnID:  s.connID,
-		Aux:     s.dataNxt,
-		Echo:    sf.elapsedMicros(),
-	}
-	buf := make([]byte, headerSize)
-	h.marshal(buf)
-	sealFrame(buf)
-	if !sf.queueWrite(buf) {
-		// The writer is backlogged or already gone: bypass the queue
-		// rather than drop the FIN (it carries no sequence-space
-		// ordering constraint). Bounded: at most one such write per
-		// subflow per retry tick.
-		go sf.conn.WriteTo(buf, sf.remote) //nolint:errcheck // lossy path semantics
-	}
-}
-
-func (s *Sender) finishedLockedFin() bool {
-	return s.dataUna >= s.dataNxt && len(s.sendBuf) == 0
-}
-
-// readLoop consumes ACKs for one subflow. Runs unlocked; state updates
-// take the connection lock.
+// readLoop consumes ACKs for one subflow.
 func (sf *sendSubflow) readLoop() {
+	s := sf.parent
 	buf := make([]byte, 2048)
-	// A closed subflow socket means no ACK can ever arrive here again: if
-	// the stream is not already finished, abort so the writer goroutine,
-	// the FIN chain and the RTO timers are all released rather than
-	// leaked with an abandoned sender.
+	// A closed socket can deliver no ACK again: abort an unfinished
+	// sender rather than leak its goroutines and timers.
 	defer func() {
-		s := sf.parent
 		s.mu.Lock()
 		if !s.doneClosed {
 			s.abortLocked(fmt.Errorf("mptcpnet: subflow %d socket closed", sf.id))
@@ -811,231 +469,32 @@ func (sf *sendSubflow) readLoop() {
 		var h header
 		if err := h.unmarshal(buf[:n]); err != nil {
 			if errors.Is(err, errBadFrame) {
-				sf.parent.corrupt.Add(1)
+				s.corrupt.Add(1)
 			}
 			continue
 		}
-		if h.ConnID != sf.parent.connID {
-			continue
+		if h.ConnID == s.connID && h.Type == typeAck {
+			s.handleAck(sf.id, &h)
 		}
-		if h.Type != typeAck {
-			continue
-		}
-		sf.parent.handleAck(sf, &h)
 	}
 }
 
-func (s *Sender) handleAck(sf *sendSubflow, h *header) {
+// handleAck feeds one ACK to the core. The echoed timestamp is 32-bit
+// microseconds; the subtraction recovers the transmission's time on the
+// core's clock across wraparound.
+func (s *Sender) handleAck(i int, h *header) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	// Data-level bookkeeping (§6: explicit data ack + shared window).
-	if h.DataSeq > s.dataUna {
-		for d := s.dataUna; d < h.DataSeq; d++ {
-			delete(s.segs, d)
-		}
-		s.dataUna = h.DataSeq
+	now := s.now()
+	a := endpoint.Ack{
+		Seq: h.Seq, DataAck: h.DataSeq, Window: int64(h.Window), Sack: -1,
+		Echo: now - sim.Time(uint32(now/sim.Microsecond)-h.Echo)*sim.Microsecond,
 	}
-	if e := h.DataSeq + int64(h.Window); e > s.edge {
-		s.edge = e
-	}
-
-	// SACK scoreboard.
-	newInfo := false
 	if h.Flags&flagSack != 0 {
-		if m := sf.meta[h.Aux]; m != nil && !m.sacked {
-			m.sacked = true
-			newInfo = true
-		}
+		a.Sack = h.Aux
 	}
-
-	ack := h.Seq
-	switch {
-	case ack > sf.sndUna:
-		sf.rtoStreak = 0
-		newly := ack - sf.sndUna
-		// Karn's rule: an ACK that covers a retransmitted segment is
-		// ambiguous (it may acknowledge either transmission), so it must
-		// not feed the RTT estimator — an ambiguous sample corrupts
-		// srtt/RTO and flows into OnRTTSample, poisoning delay-based
-		// algorithms (wVegas baseRTT). The simulator transport suppresses
-		// these via per-packet timestamps; here we check the retx marks.
-		retxAcked := false
-		for seq := sf.sndUna; seq < ack; seq++ {
-			if m := sf.meta[seq]; m != nil && m.retx {
-				retxAcked = true
-			}
-			delete(sf.meta, seq)
-		}
-		sf.sndUna = ack
-		if !retxAcked {
-			sf.sampleRTT(time.Duration(sf.elapsedMicros()-h.Echo) * time.Microsecond)
-		}
-		cc := &s.cc[sf.id]
-		if sf.inRec && ack >= sf.recover {
-			sf.inRec = false
-			sf.dupSacks = 0
-			if s.tracer != nil {
-				s.tracer.SubflowState(s.traceID, int32(sf.id), "open")
-			}
-		}
-		if !sf.inRec {
-			for i := int64(0); i < newly; i++ {
-				if cc.Cwnd < cc.SSThresh {
-					cc.Cwnd++
-				} else {
-					cc.Cwnd += s.alg.Increase(s.cc, sf.id)
-				}
-			}
-			if s.tracer != nil {
-				s.tracer.CwndChange(s.traceID, int32(sf.id), cc.Cwnd)
-			}
-		}
-		sf.armTimer()
-	case ack == sf.sndUna && newInfo && !sf.inRec:
-		sf.dupSacks++
-		if sf.dupSacks >= 3 {
-			s.fastRetransmit(sf)
-		}
-	}
-	s.pumpLocked()
-	s.maybeFinishLocked()
-}
-
-// allSubflowsTimedOutLocked reports whether every subflow has hit the
-// consecutive-RTO give-up bound — the all-paths-dead terminal state.
-func (s *Sender) allSubflowsTimedOutLocked() bool {
-	for _, sf := range s.subs {
-		if sf.rtoStreak < maxRTOStreak {
-			return false
-		}
-	}
-	return true
-}
-
-// fastRetransmit halves the window once and retransmits all unsacked
-// segments below the highest sacked sequence.
-func (s *Sender) fastRetransmit(sf *sendSubflow) {
-	cc := &s.cc[sf.id]
-	if s.lossObs != nil {
-		s.lossObs.OnLoss(s.cc, sf.id)
-	}
-	cc.Cwnd = s.alg.Decrease(s.cc, sf.id)
-	cc.SSThresh = cc.Cwnd
-	if s.tracer != nil {
-		s.tracer.Loss(s.traceID, int32(sf.id), "fast", sf.sndUna)
-		s.tracer.CwndChange(s.traceID, int32(sf.id), cc.Cwnd)
-		s.tracer.SubflowState(s.traceID, int32(sf.id), "recovery")
-	}
-	sf.inRec = true
-	sf.recover = sf.sndNxt
-	sf.dupSacks = 0
-	high := int64(-1)
-	for seq, m := range sf.meta {
-		if m.sacked && seq > high {
-			high = seq
-		}
-	}
-	for seq := sf.sndUna; seq < high; seq++ {
-		if m := sf.meta[seq]; m != nil && !m.sacked && !m.retx {
-			sf.transmit(seq, true)
-		}
-	}
-	s.logf("sf%d fast retransmit, cwnd=%.1f", sf.id, cc.Cwnd)
-}
-
-// onRTO collapses the window, retransmits the front and reinjects
-// outstanding data onto the other subflows.
-func (sf *sendSubflow) onRTO() {
-	s := sf.parent
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sf.timerOn = false
-	if s.doneClosed || sf.sndNxt == sf.sndUna {
-		return // finished/aborted senders must not rearm
-	}
-	sf.rtoStreak++
-	if s.allSubflowsTimedOutLocked() {
-		s.abortLocked(errors.New("mptcpnet: every subflow timed out repeatedly with no progress, giving up"))
-		return
-	}
-	cc := &s.cc[sf.id]
-	if s.lossObs != nil {
-		s.lossObs.OnLoss(s.cc, sf.id)
-	}
-	cc.SSThresh = s.alg.Decrease(s.cc, sf.id)
-	if cc.SSThresh < 2 {
-		cc.SSThresh = 2
-	}
-	cc.Cwnd = 1
-	sf.inRec = false
-	sf.dupSacks = 0
-	if s.tracer != nil {
-		s.tracer.Loss(s.traceID, int32(sf.id), "rto", sf.sndUna)
-		s.tracer.CwndChange(s.traceID, int32(sf.id), cc.Cwnd)
-	}
-	for seq, m := range sf.meta {
-		if m.sacked || seq < sf.sndUna {
-			continue
-		}
-		// Earlier retransmissions are presumed lost too; clearing the
-		// mark lets the next fast recovery retransmit them again.
-		m.retx = false
-		if len(s.subs) > 1 {
-			s.reinj = append(s.reinj, m.dataSeq)
-			s.reinjects++
-		}
-	}
-	sf.transmit(sf.sndUna, true)
-	sf.rto *= 2
-	if sf.rto > maxRTO {
-		sf.rto = maxRTO
-	}
-	sf.armTimer()
-	s.pumpLocked()
-}
-
-func (sf *sendSubflow) sampleRTT(rtt time.Duration) {
-	if rtt <= 0 {
-		return
-	}
-	if sf.srtt == 0 {
-		sf.srtt, sf.rttvar = rtt, rtt/2
-	} else {
-		diff := sf.srtt - rtt
-		if diff < 0 {
-			diff = -diff
-		}
-		sf.rttvar = (3*sf.rttvar + diff) / 4
-		sf.srtt = (7*sf.srtt + rtt) / 8
-	}
-	sf.parent.cc[sf.id].SRTT = sf.srtt.Seconds()
-	if obs := sf.parent.rttObs; obs != nil {
-		obs.OnRTTSample(sf.parent.cc, sf.id, rtt.Seconds())
-	}
-	if tr := sf.parent.tracer; tr != nil {
-		tr.RTTSample(sf.parent.traceID, int32(sf.id), rtt.Seconds())
-	}
-	rto := sf.srtt + 4*sf.rttvar
-	if rto < sf.parent.cfg.MinRTO {
-		rto = sf.parent.cfg.MinRTO
-	}
-	if rto > maxRTO {
-		rto = maxRTO
-	}
-	sf.rto = rto
-}
-
-func (sf *sendSubflow) armTimer() {
-	if sf.timer != nil {
-		sf.timer.Stop()
-	}
-	sf.timerOn = false
-	if sf.parent.doneClosed || sf.sndNxt == sf.sndUna {
-		return
-	}
-	sf.timerOn = true
-	sf.timer = time.AfterFunc(sf.rto, sf.onRTO)
+	s.ep.OnAck(i, now, a)
+	s.settleLocked()
 }
 
 var _ io.WriteCloser = (*Sender)(nil)

@@ -7,16 +7,10 @@ import (
 	"mptcp/internal/chaos"
 )
 
-// EmuPath wraps a net.PacketConn and emulates the simple path
-// characteristics the original loopback tests need: one-way delay, i.i.d.
-// loss, and a token-bucket rate limit. It substitutes for the paper's
-// heterogeneous radio links (WiFi vs 3G) when exercising the stack over
-// loopback.
-//
-// EmuPath is now a thin shim over chaos.Path, which carries the full
-// fault model (reordering, duplication, bit corruption, Gilbert–Elliott
-// burst loss, kill/heal); use internal/chaos directly for anything
-// beyond delay/loss/rate.
+// EmuPath wraps a net.PacketConn with one-way delay, i.i.d. loss and a
+// token-bucket rate limit: the paper's heterogeneous radio links (WiFi
+// vs 3G) over loopback. It is a thin shim over chaos.Path; use
+// internal/chaos directly for its full fault model.
 type EmuPath struct {
 	*chaos.Path
 }
@@ -24,29 +18,22 @@ type EmuPath struct {
 // NewEmuPath wraps conn with the given one-way delay, loss rate and rate
 // limit (0 = unlimited), deterministically seeded.
 func NewEmuPath(conn net.PacketConn, delay time.Duration, loss float64, rateBps float64, seed int64) *EmuPath {
-	return &EmuPath{Path: chaos.New(conn, chaos.PathConfig{
-		Delay:    delay,
-		LossRate: loss,
-		RateBps:  rateBps,
-	}, seed)}
+	return &EmuPath{Path: chaos.New(conn, chaos.PathConfig{Delay: delay, LossRate: loss, RateBps: rateBps}, seed)}
 }
 
-// SetLossRate changes the path's loss rate mid-run — the socket-level
-// analogue of a scenario link flap (1.0 = the radio is gone). Safe for
-// concurrent use with WriteTo.
+// SetLossRate changes the path's loss rate mid-run, the socket-level
+// link flap (1.0 = the radio is gone). Safe for concurrent use.
 func (e *EmuPath) SetLossRate(p float64) {
 	e.Update(func(c *chaos.PathConfig) { c.LossRate = p })
 }
 
-// SetDelay changes the path's one-way delay mid-run (handover to a
-// farther basestation). Packets already written keep the delay that
-// applied at write time. Safe for concurrent use with WriteTo.
+// SetDelay changes the path's one-way delay mid-run (a handover);
+// packets already written keep theirs. Safe for concurrent use.
 func (e *EmuPath) SetDelay(d time.Duration) {
 	e.Update(func(c *chaos.PathConfig) { c.Delay = d })
 }
 
-// Stats returns the path's sent/dropped counters. This replaces the old
-// bare exported fields, which raced with concurrent WriteTo calls.
+// Stats returns the path's sent/dropped counters.
 func (e *EmuPath) Stats() (sent, dropped int64) {
 	st := e.Path.Stats()
 	return st.Sent, st.Dropped

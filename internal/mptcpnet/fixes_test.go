@@ -1,8 +1,8 @@
 package mptcpnet
 
-// Regression tests for the RTT/ordering bugfix sweep: Karn suppression of
-// retransmission-ambiguous RTT samples, the 60 s RTO clamp, in-subflow
-// FIFO transmission order, FIN-timer termination, and writer lifecycle.
+// Regression tests for the RTT/ordering bugfix sweep: RTT samples from
+// the echoed timestamp of a retransmission, in-subflow FIFO transmission
+// order, FIN-timer termination, and writer lifecycle.
 // They run over a deterministic in-memory PacketConn, not real sockets,
 // so ordering assertions are exact.
 
@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mptcp/internal/endpoint"
+	"mptcp/internal/sim"
 )
 
 type memAddr string
@@ -21,9 +24,10 @@ func (a memAddr) String() string  { return string(a) }
 
 // memConn is a deterministic in-memory net.PacketConn: every WriteTo is
 // recorded in call order and, when wired to a peer, delivered FIFO and
-// lossless.
+// lossless unless drop, when set, refuses the datagram.
 type memConn struct {
 	addr memAddr
+	drop func([]byte) bool
 
 	mu     sync.Mutex
 	writes [][]byte
@@ -61,7 +65,7 @@ func (c *memConn) WriteTo(p []byte, _ net.Addr) (int, error) {
 	}
 	c.writes = append(c.writes, b)
 	c.mu.Unlock()
-	if c.peer != nil {
+	if c.peer != nil && (c.drop == nil || !c.drop(b)) {
 		c.peer.deliver(b)
 	}
 	return len(p), nil
@@ -133,49 +137,53 @@ func waitWrites(t *testing.T, c *memConn, typ byte, n int) []header {
 	}
 }
 
-// A cumulative ACK that covers a retransmitted segment is ambiguous
-// (Karn's rule) and must not feed the RTT estimator.
-func TestRetxAckSuppressesRTTSample(t *testing.T) {
-	s, _ := newTestSender(t, Config{})
-	if _, err := s.Write(make([]byte, 2*MaxPayload)); err != nil { // segments 0 and 1
+// RFC 6298 §3: an ACK that echoes a retransmission's timestamp samples
+// the retransmission's round trip, never the time since the original
+// send, which would inflate srtt and the RTO after every timeout.
+func TestRetxAckSamplesRetransmissionTimestamp(t *testing.T) {
+	s, c := newTestSender(t, Config{})
+	if _, err := s.Write(make([]byte, MaxPayload)); err != nil { // segment 0
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Millisecond) // make elapsedMicros() strictly positive
-	sf := s.subs[0]
-
+	waitWrites(t, c, typeData, 1)
+	time.Sleep(300 * time.Millisecond) // the original transmission ages
 	s.mu.Lock()
-	sf.meta[0].retx = true // segment 0 was retransmitted
+	s.ep.OnRTO(0) // time out now: segment 0 is retransmitted
 	s.mu.Unlock()
-	s.handleAck(sf, &header{Type: typeAck, Seq: 1, DataSeq: 1, Window: 64, Echo: 0})
-	s.mu.Lock()
-	srtt := sf.srtt
-	s.mu.Unlock()
-	if srtt != 0 {
-		t.Errorf("ambiguous ACK fed the RTT estimator: srtt = %v, want 0", srtt)
+	retx := waitWrites(t, c, typeData, 2)[1]
+	if retx.Seq != 0 {
+		t.Fatalf("timeout sent seq %d, want the retransmission of 0", retx.Seq)
 	}
-
-	// The next ACK covers only the cleanly-delivered segment 1: sampling
-	// must resume.
-	s.handleAck(sf, &header{Type: typeAck, Seq: 2, DataSeq: 2, Window: 64, Echo: 0})
+	time.Sleep(2 * time.Millisecond)
+	s.handleAck(0, &header{Type: typeAck, Seq: 1, DataSeq: 1, Window: 64, Echo: retx.Echo})
 	s.mu.Lock()
-	srtt = sf.srtt
+	srtt := s.ep.Subflow(0).SRTT()
 	s.mu.Unlock()
-	if srtt <= 0 {
-		t.Errorf("clean ACK did not feed the RTT estimator: srtt = %v", srtt)
+	if srtt <= 0 || srtt >= 250*sim.Millisecond {
+		t.Errorf("srtt = %v after acking a retransmission sent ~2ms earlier (the original left 300ms earlier)", srtt)
 	}
 }
 
-// The computed RTO must clamp to the 60 s maximum the simulator transport
-// applies (RFC 6298 §2.5), however wild the samples.
+// A wild RTT sample (here an echo half the 32-bit timestamp space old,
+// about 36 minutes) must not arm a retransmission timer beyond MaxRTO.
 func TestRTOClampedToMax(t *testing.T) {
-	s, _ := newTestSender(t, Config{})
-	sf := s.subs[0]
+	s, c := newTestSender(t, Config{})
+	if _, err := s.Write(make([]byte, 2*MaxPayload)); err != nil { // segments 0 and 1
+		t.Fatal(err)
+	}
+	waitWrites(t, c, typeData, 2)
 	s.mu.Lock()
-	sf.sampleRTT(10 * time.Hour)
-	rto := sf.rto
+	echo := uint32(s.now()/sim.Microsecond) + 1<<31
 	s.mu.Unlock()
-	if rto != maxRTO {
-		t.Errorf("rto = %v after a 10h sample, want clamp at %v", rto, maxRTO)
+	s.handleAck(0, &header{Type: typeAck, Seq: 1, DataSeq: 1, Window: 64, Echo: echo})
+	s.mu.Lock()
+	srtt, left := s.ep.Subflow(0).SRTT(), time.Until(s.subs[0].rtoAt)
+	s.mu.Unlock()
+	if srtt < endpoint.MaxRTO {
+		t.Fatalf("srtt = %v, want the ~36 min sample to have been taken", srtt)
+	}
+	if left <= 0 || left > time.Duration(endpoint.MaxRTO) {
+		t.Errorf("RTO armed %v ahead after a %v sample, want clamp at %v", left, srtt, endpoint.MaxRTO)
 	}
 }
 
@@ -186,7 +194,7 @@ func TestInSubflowSendOrderFIFO(t *testing.T) {
 	s, c := newTestSender(t, Config{})
 	const segs = 48 // below the 64-segment default flow-control edge
 	s.mu.Lock()
-	s.cc[0].Cwnd = segs // window never binds
+	s.ep.CC[0].Cwnd = segs // window never binds
 	s.mu.Unlock()
 	if _, err := s.Write(make([]byte, segs*MaxPayload)); err != nil {
 		t.Fatal(err)
@@ -306,7 +314,7 @@ func TestFinChainGivesUpWithoutPeer(t *testing.T) {
 	}
 	s, _ := newTestSender(t, Config{MinRTO: time.Millisecond})
 	s.mu.Lock()
-	s.cc[0].Cwnd = 8 // let the data and the FIN leave despite no ACKs
+	s.ep.CC[0].Cwnd = 8 // let the data and the FIN leave despite no ACKs
 	s.mu.Unlock()
 	if _, err := s.Write(make([]byte, 2*MaxPayload)); err != nil {
 		t.Fatal(err)

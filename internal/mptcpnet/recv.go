@@ -6,37 +6,30 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"mptcp/internal/endpoint"
 )
 
-// Receiver is the receiving side of a multipath connection: it reads
-// segments from every subflow socket, acknowledges them (subflow ack +
-// explicit data ack + shared-buffer window, per §6), reassembles the data
-// stream and serves it through Read.
+// Receiver is the receiving side of a multipath connection: it runs the
+// segments from every subflow socket through the endpoint.Receiver core,
+// acknowledges them and serves the data stream through Read.
 type Receiver struct {
 	connID uint64
 	conns  []net.PacketConn
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	subRcvNxt []int64
-	subOOO    []map[int64]struct{}
-	segs      map[int64][]byte
-	dataNxt   int64
-	finSeq    int64 // end-of-stream data sequence, -1 until FIN seen
-	readBuf   []byte
-	bufCap    int64 // shared receive buffer, segments
-	held      int64
-	closed    bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	ep   endpoint.Receiver
+	// segs holds the payloads of fresh out-of-order data until the
+	// stream reaches them; read is the next data sequence to serve.
+	segs    map[int64][]byte
+	read    int64
+	finSeq  int64 // end-of-stream data sequence, -1 until FIN seen
+	readBuf []byte
+	closed  bool
 
-	// Stats, guarded by mu; read via Stats() and SubflowReceived().
-	segsRecvd    int64
-	dupData      int64
-	overflow     int64 // segments refused by the shared buffer
-	subflowRecvd []int64
-
-	// corrupt counts inbound frames dropped by the checksum; atomic (not
-	// mu) because readLoop bumps it without taking the lock.
-	corrupt atomic.Int64
+	segsRecvd int64        // data segments received, including duplicates
+	corrupt   atomic.Int64 // frames failing the checksum; bumped without mu
 }
 
 // NewReceiver builds a receiver listening on the given subflow sockets.
@@ -46,20 +39,9 @@ func NewReceiver(connID uint64, conns []net.PacketConn, bufSegments int64) *Rece
 	if bufSegments <= 0 {
 		bufSegments = 256
 	}
-	r := &Receiver{
-		connID:       connID,
-		conns:        conns,
-		subRcvNxt:    make([]int64, len(conns)),
-		subOOO:       make([]map[int64]struct{}, len(conns)),
-		segs:         make(map[int64][]byte),
-		finSeq:       -1,
-		bufCap:       bufSegments,
-		subflowRecvd: make([]int64, len(conns)),
-	}
+	r := &Receiver{connID: connID, conns: conns, segs: make(map[int64][]byte), finSeq: -1}
 	r.cond = sync.NewCond(&r.mu)
-	for i := range r.subOOO {
-		r.subOOO[i] = make(map[int64]struct{})
-	}
+	r.ep.Init(len(conns), bufSegments)
 	for i := range conns {
 		go r.readLoop(i)
 	}
@@ -72,7 +54,7 @@ func (r *Receiver) Read(p []byte) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for len(r.readBuf) == 0 {
-		if r.finSeq >= 0 && r.dataNxt >= r.finSeq {
+		if r.finSeq >= 0 && r.read >= r.finSeq {
 			return 0, io.EOF
 		}
 		if r.closed {
@@ -98,37 +80,25 @@ func (r *Receiver) Close() error {
 func (r *Receiver) Received() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dataNxt
+	return r.ep.DataRcvNxt()
 }
 
-// Stats returns the receiver's counters: segments received (including
-// duplicates), duplicate-data arrivals, and segments refused by the
-// shared buffer.
+// Stats returns the segments received (including duplicates), the
+// duplicate-data arrivals and the segments the shared buffer refused.
 func (r *Receiver) Stats() (recvd, dupData, overflow int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.segsRecvd, r.dupData, r.overflow
+	return r.segsRecvd, r.ep.DupData, r.ep.Overflow
 }
 
-// Corrupted returns the count of inbound frames dropped because their
-// checksum did not verify — damaged in flight and refused before any
-// sequence state could be polluted.
+// Corrupted returns the count of inbound frames failing the checksum.
 func (r *Receiver) Corrupted() int64 { return r.corrupt.Load() }
 
-// SubflowReceived returns the count of distinct data segments that
-// arrived via subflow i (per-path goodput).
+// SubflowReceived returns the distinct data segments via subflow i.
 func (r *Receiver) SubflowReceived(i int) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.subflowRecvd[i]
-}
-
-func (r *Receiver) window() int64 {
-	w := r.bufCap - r.held
-	if w < 0 {
-		w = 0
-	}
-	return w
+	return r.ep.SubflowDelivered(i)
 }
 
 func (r *Receiver) readLoop(sub int) {
@@ -150,9 +120,7 @@ func (r *Receiver) readLoop(sub int) {
 		}
 		switch h.Type {
 		case typeData:
-			payload := make([]byte, h.Plen)
-			copy(payload, buf[headerSize:headerSize+int(h.Plen)])
-			r.onData(sub, &h, payload, from)
+			r.onData(sub, &h, buf[headerSize:headerSize+int(h.Plen)], from)
 		case typeFin:
 			r.onFin(sub, &h, from)
 		case typeProbe:
@@ -161,64 +129,31 @@ func (r *Receiver) readLoop(sub int) {
 	}
 }
 
+// onData admits one data segment. payload aliases the read buffer: it is
+// appended to the stream at once when in order, and copied only when it
+// must wait for a hole to fill.
 func (r *Receiver) onData(sub int, h *header, payload []byte, from net.Addr) {
 	r.mu.Lock()
 	r.segsRecvd++
-
-	// Shared-buffer admission first (§6): data beyond the buffer edge is
-	// treated exactly like a network loss — no subflow state changes and
-	// no ACK — so subflow-level retransmission recovers it once the
-	// window reopens. Admitting the subflow sequence while dropping the
-	// data would acknowledge a segment whose payload nobody will resend.
-	if h.DataSeq >= r.dataNxt+r.bufCap {
-		r.overflow++
-		r.mu.Unlock()
-		return
-	}
-
-	sack := int64(-1)
-	seq := h.Seq
-	switch {
-	case seq == r.subRcvNxt[sub]:
-		r.subRcvNxt[sub]++
-		for {
-			if _, ok := r.subOOO[sub][r.subRcvNxt[sub]]; !ok {
-				break
-			}
-			delete(r.subOOO[sub], r.subRcvNxt[sub])
-			r.subRcvNxt[sub]++
+	sack, fresh, ok := r.ep.Data(sub, h.Seq, h.DataSeq)
+	if fresh {
+		if h.DataSeq != r.read {
+			r.segs[h.DataSeq] = append([]byte(nil), payload...)
 		}
-	case seq > r.subRcvNxt[sub]:
-		if _, dup := r.subOOO[sub][seq]; !dup {
-			sack = seq // new SACK information only (RFC 6675)
-		}
-		r.subOOO[sub][seq] = struct{}{}
-	}
-
-	d := h.DataSeq
-	if d < r.dataNxt {
-		r.dupData++
-	} else if _, dup := r.segs[d]; dup {
-		r.dupData++
-	} else {
-		r.segs[d] = payload
-		r.held++
-		r.subflowRecvd[sub]++
-		for {
-			seg, ok := r.segs[r.dataNxt]
-			if !ok {
-				break
+		for ; r.read < r.ep.DataRcvNxt(); r.read++ {
+			seg := payload
+			if r.read != h.DataSeq {
+				seg = r.segs[r.read]
+				delete(r.segs, r.read)
 			}
 			r.readBuf = append(r.readBuf, seg...)
-			delete(r.segs, r.dataNxt)
-			r.held--
-			r.dataNxt++
 		}
 		r.cond.Broadcast()
 	}
-	echo := h.Echo
 	r.mu.Unlock()
-	r.ack(sub, echo, sack, from)
+	if ok {
+		r.ack(sub, h.Echo, sack, from)
+	}
 }
 
 func (r *Receiver) onFin(sub int, h *header, from net.Addr) {
@@ -227,34 +162,26 @@ func (r *Receiver) onFin(sub int, h *header, from net.Addr) {
 		r.finSeq = h.Aux
 	}
 	r.cond.Broadcast()
-	echo := h.Echo
 	r.mu.Unlock()
-	r.ack(sub, echo, -1, from)
+	r.ack(sub, h.Echo, -1, from)
 }
 
 // ack emits the §6 acknowledgment: subflow cumulative ack, explicit data
 // ack, shared-buffer window and echoed timestamp (+ optional SACK).
 func (r *Receiver) ack(sub int, echo uint32, sack int64, to net.Addr) {
+	h := header{Type: typeAck, Subflow: uint16(sub), ConnID: r.connID, Echo: echo}
 	r.mu.Lock()
-	h := header{
-		Type:    typeAck,
-		Subflow: uint16(sub),
-		ConnID:  r.connID,
-		Seq:     r.subRcvNxt[sub],
-		DataSeq: r.dataNxt,
-		Window:  uint32(r.window()),
-		Echo:    echo,
-	}
+	seq, dataAck, window := r.ep.Ack(sub)
+	r.mu.Unlock()
+	h.Seq, h.DataSeq, h.Window = seq, dataAck, uint32(window)
 	if sack >= 0 {
 		h.Flags |= flagSack
 		h.Aux = sack
 	}
-	conn := r.conns[sub]
-	r.mu.Unlock()
 	buf := make([]byte, headerSize)
 	h.marshal(buf)
 	sealFrame(buf)
-	conn.WriteTo(buf, to) //nolint:errcheck // lossy path semantics
+	r.conns[sub].WriteTo(buf, to) //nolint:errcheck // lossy path semantics
 }
 
 var _ io.Reader = (*Receiver)(nil)

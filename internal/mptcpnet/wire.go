@@ -1,28 +1,17 @@
-// Package mptcpnet is a userspace Multipath TCP implementation over UDP,
-// realising the protocol design of §6 of the paper with real sockets and
-// goroutines:
+// Package mptcpnet is a userspace Multipath TCP over UDP: the §6
+// protocol of the paper with real sockets and goroutines, one UDP
+// subflow per path. The protocol itself (separate subflow and data
+// sequence spaces, explicit data ACKs, one shared receive buffer, SACK
+// recovery, RFC 6298 timers, scheduling from internal/sched with minRTT
+// by default, the §6 countermeasures and reinjection) is
+// internal/endpoint's, the same state machine the packet-level simulator
+// runs. This package is its socket adapter: framing and checksums,
+// payloads, one writer and one reader goroutine per subflow, wall-clock
+// timers, the FIN and locking.
 //
-//   - one UDP subflow per path, each with its own sequence space and
-//     RFC 6298-style retransmission timer;
-//   - a connection-level data sequence number on every data segment and
-//     an explicit data acknowledgment on every ACK (§6 shows inferring
-//     data ACKs from subflow ACKs is unsound);
-//   - a single shared receive buffer whose window is advertised relative
-//     to the data-level cumulative ACK;
-//   - data-level reinjection after a subflow timeout, so a dead path
-//     cannot strand the stream;
-//   - coupled congestion control from internal/core — the identical
-//     algorithm code that drives the packet-level simulator;
-//   - pluggable packet scheduling from internal/sched (minRTT by
-//     default, the Linux MPTCP choice) plus the §6 receive-buffer-
-//     blocking countermeasures — opportunistic retransmission and
-//     subflow penalization — as composable Config options, shared with
-//     the simulator stack.
-//
-// The package substitutes for the paper's Linux kernel implementation:
-// real multihomed interfaces are replaced by multiple UDP 5-tuples
-// (optionally shaped by the Emu path emulator), which is exactly the kind
-// of path diversity the paper exploits via ECMP in §7.
+// It substitutes for the paper's Linux kernel implementation: multihomed
+// interfaces become multiple UDP 5-tuples (optionally shaped by EmuPath),
+// the kind of path diversity the paper exploits via ECMP in §7.
 package mptcpnet
 
 import (
@@ -44,13 +33,10 @@ const (
 const (
 	flagSack = 1 << 0
 	flagFin  = 1 << 1
+
+	headerSize = 50 // fixed wire header length in bytes
+	sumOffset  = 46 // byte offset of the frame checksum within the header
 )
-
-// headerSize is the fixed wire header length in bytes.
-const headerSize = 50
-
-// sumOffset is the byte offset of the frame checksum within the header.
-const sumOffset = 46
 
 // MaxPayload is the data payload carried per segment. It is chosen so
 // header+payload fits comfortably in a 1500-byte MTU over UDP/IP.

@@ -34,6 +34,11 @@ type Link struct {
 	// packet path, so tracing costs nothing per hop.
 	Tracer LinkTracer
 
+	// Drop, when non-nil, sees every packet arriving at the link and
+	// drops those it returns true for (counted in Stats.Drops): exact,
+	// scripted loss patterns for tests.
+	Drop func(*Packet) bool
+
 	down bool
 
 	// lastDepart is the departure time of the most recently accepted
@@ -189,7 +194,7 @@ func (l *Link) txTime(size int) sim.Time {
 func (l *Link) enqueue(n *Net, pkt *Packet) {
 	now := n.Sim.Now()
 	l.Stats.Arrivals++
-	if l.down {
+	if l.down || l.Drop != nil && l.Drop(pkt) {
 		l.Stats.Drops++
 		n.FreePacket(pkt)
 		return

@@ -1,45 +1,21 @@
-// Package transport implements the TCP and MPTCP endpoint models that run
-// over the packet-level network of internal/netsim.
-//
-// A Conn is a connection with one or more subflows, each taking its own
-// route. Single-path TCP is simply a Conn with one subflow driven by
-// core.Regular — exactly how the paper treats it. Each subflow runs
-// NewReno-style machinery (slow start, fast retransmit/recovery, RFC 6298
-// retransmission timer); congestion avoidance window arithmetic is
-// delegated to a core.Algorithm, so REGULAR/EWTCP/COUPLED/SEMICOUPLED/
-// MPTCP all share identical loss detection, exactly as in the paper's
-// Linux implementation.
-//
-// New data is assigned to subflows by a pluggable packet scheduler from
-// internal/sched (default: the historical first-fit striping; minRTT,
-// round-robin, cwnd-weighted, redundant and BLEST are registered), and
-// the §6 receive-buffer-blocking countermeasures — opportunistic
-// retransmission and subflow penalization — compose with any scheduler
-// via Config.SchedOpts. Loss-recovery transmissions never go through
-// the scheduler.
-//
-// The protocol model follows §6 of the paper:
-//
-//   - separate sequence spaces: per-subflow sequence numbers for loss
-//     detection, and connection-level data sequence numbers for stream
-//     reassembly, carried on every data packet;
-//   - explicit data acknowledgments carried on every ACK (the paper shows
-//     inferring the data ack from subflow acks is unsound when ACKs
-//     arrive out of order across subflows);
-//   - a single shared receive buffer, its window advertised relative to
-//     the data-level cumulative ack (per-subflow buffers can deadlock).
-//
-// Sequence numbers count packets, not bytes, and windows are maintained
-// in packets, as the paper presents them.
+// Package transport runs the TCP and MPTCP endpoints over the
+// packet-level network of internal/netsim. A Conn has one or more
+// subflows, each taking its own route; single-path TCP is simply a Conn
+// with one subflow driven by core.Regular, exactly how the paper treats
+// it. The protocol (§6's separate subflow and data sequence spaces,
+// explicit data ACKs, one shared receive buffer, SACK recovery, RFC 6298
+// timers, scheduling, reinjection) is internal/endpoint's, shared with
+// the UDP stack internal/mptcpnet. This package is its netsim adapter:
+// packets, send jitter, sim.Timers, ConnPool recycling, and the guard
+// against stragglers from a pooled connection's previous life.
 package transport
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
-	"mptcp/internal/cc"
 	"mptcp/internal/core"
+	"mptcp/internal/endpoint"
 	"mptcp/internal/netsim"
 	"mptcp/internal/sched"
 	"mptcp/internal/sim"
@@ -47,7 +23,7 @@ import (
 )
 
 // Infinite marks an unlimited data supply (a long-lived flow).
-const Infinite int64 = -1
+const Infinite = endpoint.Infinite
 
 // Path is the pair of routes used by one subflow: Fwd carries data from
 // sender to receiver, Rev carries ACKs back.
@@ -63,11 +39,8 @@ type Config struct {
 	Alg core.Algorithm
 
 	// Sched assigns new data segments to subflows. Defaults to
-	// sched.FirstFit — fill subflows in configuration order, the
-	// historical striping of this stack (and of the paper's "stripes
-	// packets across these subflows as space in the subflow windows
-	// becomes available"). Loss-recovery transmissions never go through
-	// the scheduler.
+	// sched.FirstFit: fill subflows in configuration order, the paper's
+	// striping. Loss-recovery transmissions never go through it.
 	Sched sched.Scheduler
 
 	// SchedOpts enables the §6 receive-buffer-blocking countermeasures
@@ -100,96 +73,42 @@ type Config struct {
 	DisableReinject bool
 
 	// SendJitter is the maximum uniform random delay added to each data
-	// packet transmission (FIFO order within a subflow is preserved). A
-	// small jitter breaks the drop-tail phase locking that plagues
-	// deterministic simulations of flows with identical RTTs (Floyd &
-	// Jacobson, "On Traffic Phase Effects in Packet-Switched Gateways").
-	// Defaults to 100 µs; set negative to disable.
+	// packet (FIFO order within a subflow is kept). It breaks the
+	// drop-tail phase locking of flows with identical RTTs (Floyd &
+	// Jacobson). Defaults to 100 µs; set negative to disable.
 	SendJitter sim.Time
 
 	// OnComplete, if set, is invoked once the final data packet is
 	// cumulatively acknowledged (finite flows only).
 	OnComplete func()
 
-	// Tracer, when non-nil, records the connection's protocol events —
-	// cwnd changes, RTT samples, losses, retransmissions, scheduler
-	// picks, §6 countermeasures — into internal/trace ring buffers. The
-	// default nil disables tracing: every trace site is guarded by one
-	// pointer test, the hot path stays allocation-free, and simulation
-	// results are bit-identical with tracing on or off (the tracer never
-	// touches the world's random source).
+	// Tracer, when non-nil, records the connection's protocol events
+	// (cwnd, RTT samples, losses, retransmissions, scheduler picks, §6
+	// countermeasures) into internal/trace ring buffers. Results are
+	// bit-identical with tracing on or off; nil costs nothing.
 	Tracer *trace.Tracer
 }
 
 // Conn is the sender side of a (multipath) connection together with its
 // receiver model. Create with NewConn, then Start.
 type Conn struct {
+	*endpoint.Counters // OppRetx, Penalties
+
 	ID   int
 	net  *netsim.Net
 	cfg  Config
-	alg  core.Algorithm
+	ep   *endpoint.Sender
 	subs []*Subflow
-	cc   []core.Subflow
 	recv *Receiver
 
-	// Optional algorithm hooks (internal/cc's extended contract),
-	// resolved once at construction so the per-ACK path pays no type
-	// assertion: nil when the algorithm does not implement them.
-	rttObs  cc.RTTObserver
-	lossObs cc.LossObserver
-
-	// tracer is nil unless Config.Tracer enabled tracing; traceID is
-	// this connection's tracer-scoped ID, allocated in construction
-	// order (deterministic within a world, unlike the diagnostic global
-	// ID below).
-	tracer  *trace.Tracer
-	traceID int32
-
-	// Scheduler state: the configured scheduler, whether it duplicates
-	// segments (resolved once, like the cc hooks), and a scratch View
-	// slice reused across pumps so the per-ACK path allocates nothing.
-	sched     sched.Scheduler
-	redundant bool
-	views     []sched.View
-	// dupNxt is the redundant scheduler's per-subflow replay frontier:
-	// the next data sequence subflow i should (re)carry. Nil unless the
-	// scheduler duplicates.
-	dupNxt []int64
-
-	// Receive-buffer countermeasure state (§6): oppRetxSeq remembers the
-	// last data sequence opportunistically retransmitted so each blocking
-	// segment is re-sent at most once.
-	oppRetxSeq int64
-
-	// OppRetx counts opportunistic retransmissions; Penalties counts
-	// subflow-penalization window halvings (both 0 unless SchedOpts
-	// enables the countermeasures).
-	OppRetx   int64
-	Penalties int64
-
-	dataNxt   int64 // next new data sequence number to assign
-	dataUna   int64 // cumulative data-level acknowledgment
-	dataEdge  int64 // highest permitted dataSeq+1 (flow control edge)
-	total     int64 // total data packets, or Infinite
-	reinjectQ []int64
-	started   bool
-	done      bool
-	startedAt sim.Time
-	doneAt    sim.Time
-
-	// Zero-window persist state: when the advertised window closes and
-	// nothing is in flight, the sender probes periodically so a lost
-	// window update cannot deadlock the connection.
-	fcBlocked    bool
+	startedAt    sim.Time
+	doneAt       sim.Time
 	persistTimer *sim.Timer
 }
 
-const persistInterval = 200 * sim.Millisecond
-
-// nextConnID is atomic because independent simulator worlds construct
-// connections concurrently (internal/exp's parallel runner). The ID is
-// purely diagnostic (packet FlowID labels, String()), so the allocation
-// order never influences simulation results.
+// nextConnID is atomic because parallel worlds construct connections
+// concurrently. The ID labels packets (FlowID) and String(); its
+// allocation order never influences results.
 var nextConnID atomic.Int64
 
 // NewConn builds a connection and its receiver, and wires the routes.
@@ -199,14 +118,11 @@ func NewConn(nw *netsim.Net, cfg Config) *Conn {
 	return c
 }
 
-// init (re)constructs the connection in place. A zero Conn becomes a
-// fresh connection; a completed connection is rebuilt for a new life
-// (ConnPool), reusing its subflows — with their grown meta rings — its
-// receiver's maps, and its scratch slices. Reuse requires an equal path
-// count (the pool keys on it); on mismatch everything is rebuilt.
-// Routes are always fresh allocations: packets from a previous life
-// still in flight keep their old route object intact, and the FlowID
-// guard in the receive paths discards them on arrival.
+// init (re)constructs the connection in place. A completed connection
+// is rebuilt for a new life (ConnPool) reusing its endpoint core, its
+// receiver and, for an equal path count, its subflows. Routes are always
+// fresh: packets of a previous life still in flight keep their old route
+// intact, and the FlowID guard in the receive paths discards them.
 func (c *Conn) init(nw *netsim.Net, cfg Config) {
 	if len(cfg.Paths) == 0 {
 		panic("transport: connection needs at least one path")
@@ -240,82 +156,44 @@ func (c *Conn) init(nw *netsim.Net, cfg Config) {
 		cfg.Sched = sched.FirstFit{}
 	}
 	n := len(cfg.Paths)
-	// Salvage the reusable allocations of a previous life before the
-	// wholesale reset below clears every field.
-	subs, ccs, views, recv := c.subs, c.cc, c.views, c.recv
-	reinjectQ, dupNxt := c.reinjectQ, c.dupNxt
+	ep, subs, recv := c.ep, c.subs, c.recv
+	if ep == nil {
+		ep, recv = new(endpoint.Sender), new(Receiver)
+	}
+	*c = Conn{ID: int(nextConnID.Add(1)), net: nw, cfg: cfg, ep: ep, recv: recv, Counters: &ep.Counters}
+	c.persistTimer = nw.Sim.NewTimer(ep.OnPersist)
+	ep.Init(endpoint.Config{
+		Alg: cfg.Alg, Sched: cfg.Sched, SchedOpts: cfg.SchedOpts, Subflows: n,
+		Total: cfg.DataPackets, Window: cfg.RecvBuf, InitialCwnd: cfg.InitialCwnd,
+		MinRTO: cfg.MinRTO, DisableReinject: cfg.DisableReinject, Tracer: cfg.Tracer,
+	}, (*connOut)(c))
+	if cfg.DataPackets != Infinite {
+		ep.Close() // a finite flow's supply is final from the start
+	}
+	recv.init(c, n)
 	if len(subs) != n {
-		subs, ccs, views, recv, dupNxt = nil, nil, nil, nil, nil
-	}
-	*c = Conn{
-		ID:         int(nextConnID.Add(1)),
-		net:        nw,
-		cfg:        cfg,
-		alg:        cfg.Alg,
-		total:      cfg.DataPackets,
-		dataEdge:   cfg.RecvBuf,
-		sched:      cfg.Sched,
-		oppRetxSeq: -1,
-		tracer:     cfg.Tracer,
-		traceID:    cfg.Tracer.ConnID(), // nil-safe: -1 when tracing is off
-	}
-	if reinjectQ != nil {
-		c.reinjectQ = reinjectQ[:0]
-	}
-	c.rttObs, _ = c.alg.(cc.RTTObserver)
-	c.lossObs, _ = c.alg.(cc.LossObserver)
-	if d, ok := c.sched.(sched.Duplicator); ok {
-		c.redundant = d.Duplicates()
-	}
-	if c.redundant {
-		if dupNxt != nil {
-			clear(dupNxt)
-			c.dupNxt = dupNxt
-		} else {
-			c.dupNxt = make([]int64, n)
+		subs = make([]*Subflow, n)
+		for i := range subs {
+			subs[i] = &Subflow{id: i}
 		}
-	}
-	if views != nil {
-		c.views = views
-	} else {
-		c.views = make([]sched.View, n)
-	}
-	c.persistTimer = nw.Sim.NewTimer(c.persistProbe)
-	if ccs != nil {
-		c.cc = ccs
-	} else {
-		c.cc = make([]core.Subflow, n)
-	}
-	if recv != nil {
-		recv.reset(nw, c, cfg.RecvBuf)
-		c.recv = recv
-	} else {
-		c.recv = newReceiver(nw, c, n, cfg.RecvBuf)
 	}
 	c.subs = subs
 	for i, p := range cfg.Paths {
-		var sf *Subflow
-		if subs != nil {
-			sf = subs[i]
-			sf.reset(c)
-		} else {
-			sf = newSubflow(c, i)
-			c.subs = append(c.subs, sf)
-		}
-		sf.fwd = netsim.NewRoute(c.recv, p.Fwd...)
-		c.recv.rev[i] = netsim.NewRoute(sf, p.Rev...)
-		c.cc[i] = core.Subflow{Cwnd: cfg.InitialCwnd, SSThresh: math.Inf(1)}
+		sf := subs[i]
+		*sf = Subflow{SubflowCounters: &ep.Subflow(i).SubflowCounters, conn: c, id: i}
+		sf.rtoTimer = nw.Sim.NewTimer(sf.onRTO)
+		sf.fwd = netsim.NewRoute(recv, p.Fwd...)
+		recv.rev[i] = netsim.NewRoute(sf, p.Rev...)
 	}
 }
 
 // Start begins transmission at the current simulated time.
 func (c *Conn) Start() {
-	if c.started {
+	if c.ep.Started() {
 		return
 	}
-	c.started = true
 	c.startedAt = c.net.Sim.Now()
-	c.pump()
+	c.ep.Start(c.startedAt)
 }
 
 // Receiver returns the connection's receiver model.
@@ -325,33 +203,26 @@ func (c *Conn) Receiver() *Receiver { return c.recv }
 func (c *Conn) Subflows() []*Subflow { return c.subs }
 
 // Alg returns the congestion control algorithm driving the connection.
-func (c *Conn) Alg() core.Algorithm { return c.alg }
+func (c *Conn) Alg() core.Algorithm { return c.cfg.Alg }
 
 // Done reports whether a finite flow has been fully acknowledged.
-func (c *Conn) Done() bool { return c.done }
+func (c *Conn) Done() bool { return c.ep.Done() }
 
 // Stop terminates the connection immediately: no more transmissions, all
-// timers cancelled. Used by experiments that remove flows mid-run (§2.4's
-// departing flow, the server workload's completed transfers).
+// timers cancelled (§2.4's departing flow, completed server transfers).
 func (c *Conn) Stop() {
-	if c.done {
+	if c.ep.Done() {
 		return
 	}
-	c.done = true
-	c.doneAt = c.net.Sim.Now()
-	c.releaseTimers()
+	c.ep.Stop()
+	c.finish()
 }
 
-// releaseTimers stops the connection's timers and returns them to the
-// simulator's freelist: a finished connection leaves no timer garbage
-// behind, which matters for workloads that churn through thousands of
-// connections (the §3 server experiment). Only called once the done flag
-// guards every transmission path.
-func (c *Conn) releaseTimers() {
-	// Clear the flow-control latch first: a late ACK's window update must
-	// not touch the released persist timer (onDataAck only stops it while
-	// fcBlocked holds).
-	c.fcBlocked = false
+// finish records completion and returns the timers to the simulator's
+// freelist, so connection churn leaves no timer garbage. The core is
+// done by now and never touches a released timer.
+func (c *Conn) finish() {
+	c.doneAt = c.net.Sim.Now()
 	c.persistTimer.Release()
 	for _, sf := range c.subs {
 		sf.rtoTimer.Release()
@@ -364,314 +235,169 @@ func (c *Conn) StartedAt() sim.Time { return c.startedAt }
 // CompletedAt returns when the flow finished (finite flows).
 func (c *Conn) CompletedAt() sim.Time { return c.doneAt }
 
-// Delivered returns the count of data packets delivered in order to the
-// receiving application.
-func (c *Conn) Delivered() int64 { return c.recv.dataRcvNxt }
+// Delivered returns the data packets delivered in order to the receiver.
+func (c *Conn) Delivered() int64 { return c.recv.ep.DataRcvNxt() }
 
-// SubflowDelivered returns the number of distinct data packets the
-// receiver obtained via subflow i (per-path goodput, used by Fig. 15/17).
-func (c *Conn) SubflowDelivered(i int) int64 { return c.recv.subDelivered[i] }
+// SubflowDelivered returns the distinct data packets via subflow i.
+func (c *Conn) SubflowDelivered(i int) int64 { return c.recv.ep.SubflowDelivered(i) }
 
 // Cwnd returns subflow i's congestion window in packets.
-func (c *Conn) Cwnd(i int) float64 { return c.cc[i].Cwnd }
+func (c *Conn) Cwnd(i int) float64 { return c.ep.CC[i].Cwnd }
 
 // SRTT returns subflow i's smoothed RTT estimate.
-func (c *Conn) SRTT(i int) sim.Time { return c.subs[i].srtt }
+func (c *Conn) SRTT(i int) sim.Time { return c.ep.Subflow(i).SRTT() }
 
-// popData hands the next data sequence number to transmit on a subflow,
-// preferring reinjections. ok is false when the connection is app-limited
-// or flow-control limited.
-func (c *Conn) popData() (seq int64, ok bool) {
-	for len(c.reinjectQ) > 0 {
-		s := c.reinjectQ[0]
-		c.reinjectQ = c.reinjectQ[1:]
-		if s >= c.dataUna {
-			return s, true
-		}
-	}
-	if c.total != Infinite && c.dataNxt >= c.total {
-		return 0, false
-	}
-	if c.dataNxt >= c.dataEdge {
-		c.fcBlocked = true // flow control (§6): respect the shared buffer
-		return 0, false
-	}
-	s := c.dataNxt
-	c.dataNxt++
-	return s, true
+func (c *Conn) String() string {
+	return fmt.Sprintf("conn%d[%s,%d subflows]", c.ID, c.cfg.Alg.Name(), len(c.subs))
 }
 
-// onDataAck processes the explicit data-level acknowledgment and window
-// carried on an ACK (§6).
-func (c *Conn) onDataAck(dataAck, rcvWnd int64) {
-	if dataAck > c.dataUna {
-		c.dataUna = dataAck
+// Subflow is the netsim side of one sender subflow. It implements
+// netsim.Endpoint to consume ACKs arriving on its reverse route.
+type Subflow struct {
+	*endpoint.SubflowCounters // PktsSent, PktsRetx, RTOs, FastRetx
+	conn                      *Conn
+	id                        int
+	fwd                       *netsim.Route
+	rtoTimer                  *sim.Timer
+	nextSend                  sim.Time // FIFO transmission under send jitter
+}
+
+func (sf *Subflow) onRTO() { sf.conn.ep.OnRTO(sf.id) }
+
+// Receive consumes an ACK delivered by the network (netsim.Endpoint).
+func (sf *Subflow) Receive(pkt *netsim.Packet) {
+	c := sf.conn
+	if pkt.FlowID != c.ID {
+		// A straggler from a previous life of a pooled connection: its
+		// sequence numbers belong to the finished flow.
+		c.net.FreePacket(pkt)
+		return
 	}
-	// The edge is monotone: old ACKs cannot shrink it.
-	if e := dataAck + rcvWnd; e > c.dataEdge {
-		c.dataEdge = e
-		if c.fcBlocked {
-			c.fcBlocked = false
-			c.persistTimer.Stop()
-		}
+	a := endpoint.Ack{Seq: pkt.Ack, DataAck: pkt.DataAck, Window: pkt.RcvWnd, Sack: -1, Echo: pkt.EchoTS}
+	if pkt.HasSack {
+		a.Sack = pkt.SackSeq
 	}
-	if c.total != Infinite && !c.done && c.dataUna >= c.total {
-		c.done = true
-		c.doneAt = c.net.Sim.Now()
-		c.releaseTimers()
+	c.net.FreePacket(pkt)
+	// OnComplete runs last: a pooled connection's callback may Put and
+	// re-Get this very Conn, and nothing of the old life may follow.
+	if c.ep.OnAck(sf.id, c.net.Sim.Now(), a) {
+		c.finish()
 		if c.cfg.OnComplete != nil {
 			c.cfg.OnComplete()
 		}
 	}
 }
 
-// reinject queues data sequences for retransmission on any subflow; used
-// after an RTO so a dying path cannot strand the data stream (§6 / §5
-// mobility).
-func (c *Conn) reinject(dataSeqs []int64) {
-	if c.cfg.DisableReinject {
+// Receiver is the netsim side of a connection's receiver: it feeds data
+// packets to the endpoint receiver core and acknowledges every admitted
+// packet at once (subflow and data acks, window, echoed timestamp and,
+// for a new out-of-order arrival, its SACK).
+type Receiver struct {
+	*endpoint.RecvCounters // Overflow, DupData
+	ep                     endpoint.Receiver
+	conn                   *Conn
+	rev                    []*netsim.Route // per-subflow reverse routes
+}
+
+func (r *Receiver) init(c *Conn, nsub int) {
+	r.ep.Init(nsub, c.cfg.RecvBuf)
+	r.RecvCounters, r.conn = &r.ep.RecvCounters, c
+	if len(r.rev) != nsub {
+		r.rev = make([]*netsim.Route, nsub)
+	}
+}
+
+// SetAppStalled freezes or resumes the receiving application's reads.
+// While stalled, the shared buffer fills and the window closes; resuming
+// drains it and sends a window update on every subflow, as TCP does.
+func (r *Receiver) SetAppStalled(stalled bool) {
+	r.ep.SetStalled(stalled)
+	if !stalled {
+		for i := range r.rev {
+			r.sendAck(i, 0, -1)
+		}
+	}
+}
+
+// DataRcvNxt returns the connection-level cumulative data received, and
+// Window the advertised receive window in packets relative to it.
+func (r *Receiver) DataRcvNxt() int64 { return r.ep.DataRcvNxt() }
+func (r *Receiver) Window() int64     { return r.ep.Window() }
+
+// Receive consumes a data packet (netsim.Endpoint).
+func (r *Receiver) Receive(pkt *netsim.Packet) {
+	nw := r.conn.net
+	if pkt.FlowID != r.conn.ID {
+		// Straggler from a previous life of a pooled connection (see
+		// Subflow.Receive): drop without acknowledging.
+		nw.FreePacket(pkt)
 		return
 	}
-	for _, s := range dataSeqs {
-		if s >= c.dataUna {
-			c.reinjectQ = append(c.reinjectQ, s)
-		}
+	sf, seq, dataSeq, sentAt, probe := pkt.SubflowID, pkt.Seq, pkt.DataSeq, pkt.SentAt, pkt.IsProbe
+	nw.FreePacket(pkt)
+	if probe { // window probe: acknowledge current state, change nothing
+		r.sendAck(sf, sentAt, -1)
+	} else if sack, _, ok := r.ep.Data(sf, seq, dataSeq); ok {
+		r.sendAck(sf, sentAt, sack)
 	}
 }
 
-// pump drives transmission: loss-recovery repairs first (per subflow,
-// in configuration order — they are not scheduling decisions), then new
-// data assigned by the configured scheduler, then, if the shared
-// receive buffer blocked the sender, the §6 countermeasures. With the
-// default FirstFit scheduler this reproduces the paper's "stripes
-// packets across these subflows as space in the subflow windows becomes
-// available" bit for bit.
-func (c *Conn) pump() {
-	if !c.started || c.done {
-		return
-	}
-	for _, sf := range c.subs {
-		sf.sendRepairs()
-	}
-	c.schedule()
-	if c.fcBlocked {
-		c.rbufCountermeasures()
-		if !c.persistTimer.Active() && c.idle() {
-			c.persistTimer.Reset(persistInterval)
-		}
-	}
+func (r *Receiver) sendAck(sf int, echo sim.Time, sack int64) {
+	nw := r.conn.net
+	a := nw.AllocPacket()
+	a.Size = netsim.AckPacketSize
+	a.IsAck = true
+	a.FlowID = r.conn.ID
+	a.SubflowID = sf
+	a.Ack, a.DataAck, a.RcvWnd = r.ep.Ack(sf)
+	a.EchoTS = echo
+	a.HasSack, a.SackSeq = sack >= 0, max(sack, 0)
+	nw.Send(r.rev[sf], a)
 }
 
-// schedule assigns new data to subflows, one segment per scheduler
-// Pick, until the scheduler declines or the data supply (application or
-// flow control) runs dry. The View slice is scratch owned by the
-// connection, refreshed in place each pump: the per-ACK path allocates
-// nothing.
-func (c *Conn) schedule() {
-	if c.redundant {
-		c.scheduleRedundant()
-		return
+// connOut is the endpoint.Out of a Conn, kept off Conn's method set.
+type connOut Conn
+
+// Send puts a data packet on the wire after the send jitter.
+func (o *connOut) Send(i int, seq, dataSeq int64, retx bool) {
+	c := (*Conn)(o)
+	sf, nw := c.subs[i], c.net
+	at := nw.Sim.Now()
+	if j := c.cfg.SendJitter; j > 0 {
+		at = max(at+sim.Time(nw.Sim.Rand().Int63n(int64(j)+1)), sf.nextSend)
+		sf.nextSend = at
 	}
-	for i, sf := range c.subs {
-		c.views[i] = sched.View{
-			Cwnd:     c.cc[i].Cwnd,
-			Inflight: sf.outstanding(),
-			SRTT:     sf.srtt.Seconds(),
-			Sendable: !sf.inRec && !sf.inRepair(),
-			Sent:     sf.sndNxt,
-		}
-	}
-	for {
-		// The flow-control headroom shrinks as the loop assigns new
-		// data, so the Ctx is rebuilt per pick — a blocking-aware
-		// scheduler (BLEST) must see the headroom left now, not the
-		// pump-entry snapshot.
-		i := c.sched.Pick(sched.Ctx{Window: c.dataEdge - c.dataNxt}, c.views)
-		if i < 0 {
-			return
-		}
-		dataSeq, ok := c.subs[i].sendNew()
-		if !ok {
-			return
-		}
-		if c.tracer != nil {
-			c.tracer.SchedPick(c.traceID, int32(i), dataSeq)
-		}
-		c.views[i].Inflight++
-		c.views[i].Sent++
-	}
+	p := nw.AllocPacket()
+	p.Size = netsim.DataPacketSize
+	p.FlowID = c.ID
+	p.SubflowID = i
+	p.Seq = seq
+	p.DataSeq = dataSeq
+	p.SentAt = at
+	p.Retx = retx
+	nw.SendAt(at, sf.fwd, p)
 }
 
-// scheduleRedundant drives a duplicating scheduler: every subflow keeps
-// its own replay frontier (dupNxt) over the data stream and, window
-// permitting, carries every data sequence itself — the subflow that is
-// furthest ahead pulls new data, the others replay it. Frontiers skip
-// data the receiver already holds (below dataUna), so a subflow that
-// fell behind replays only the still-unacknowledged window, like
-// Linux's mptcp_redundant. The first copy to arrive delivers; later
-// copies count as duplicate data and consume no receive buffer.
-func (c *Conn) scheduleRedundant() {
-	for progress := true; progress; {
-		progress = false
-		for i, sf := range c.subs {
-			if sf.inRec || sf.inRepair() || sf.outstanding() >= sf.window() {
-				continue
-			}
-			if c.dupNxt[i] < c.dataUna {
-				c.dupNxt[i] = c.dataUna
-			}
-			if c.dupNxt[i] < c.dataNxt {
-				sf.sendMapped(c.dupNxt[i])
-				c.dupNxt[i]++
-				progress = true
-				continue
-			}
-			dataSeq, ok := sf.sendNew()
-			if !ok {
-				continue
-			}
-			if dataSeq+1 > c.dupNxt[i] {
-				c.dupNxt[i] = dataSeq + 1
-			}
-			progress = true
-		}
-	}
+// Probe sends a zero-window probe, which elicits an ACK with the window.
+func (o *connOut) Probe(i int) {
+	nw := o.net
+	p := nw.AllocPacket()
+	p.Size = netsim.AckPacketSize
+	p.FlowID = o.ID
+	p.SubflowID = i
+	p.IsProbe = true
+	p.SentAt = nw.Sim.Now()
+	nw.Send(o.subs[i].fwd, p)
 }
 
-// rbufCountermeasures applies the paper's §6 remedies when the shared
-// receive buffer has blocked the sender: the segment everyone is
-// waiting on is the data-level cumulative ack (dataUna), typically
-// parked on a slow subflow while faster ones drained. Opportunistic
-// retransmission re-sends that segment on the fastest other subflow
-// with window space (once per blocking segment); penalization halves
-// the blocking subflow's congestion window (at most once per its RTT)
-// so it stops re-filling the buffer. Both are off unless Config
-// .SchedOpts enables them, leaving default behaviour untouched.
-func (c *Conn) rbufCountermeasures() {
-	if !c.cfg.SchedOpts.Any() || len(c.subs) < 2 {
-		return
-	}
-	// Gate before the blocker scan: while the connection stays blocked
-	// on the same segment, every ACK re-enters here, and once the
-	// opportunistic retransmission is spent and every penalty backoff
-	// is still running there is nothing left to do this round trip.
-	needOpp := c.cfg.SchedOpts.OpportunisticRetx && c.oppRetxSeq != c.dataUna
-	needPen := false
-	if c.cfg.SchedOpts.Penalize {
-		now := c.net.Sim.Now()
-		for _, sf := range c.subs {
-			if now >= sf.nextPenalty {
-				needPen = true
-				break
-			}
-		}
-	}
-	if !needOpp && !needPen {
-		return
-	}
-	blocker := c.findBlocker()
-	if blocker < 0 {
-		return
-	}
-	if c.cfg.SchedOpts.Penalize {
-		c.penalize(blocker)
-	}
-	if needOpp {
-		for i, sf := range c.subs {
-			c.views[i] = sched.View{
-				Cwnd:     c.cc[i].Cwnd,
-				Inflight: sf.outstanding(),
-				SRTT:     sf.srtt.Seconds(),
-				Sendable: !sf.inRec && !sf.inRepair(),
-			}
-		}
-		if best := sched.PickMinRTT(c.views, blocker); best >= 0 {
-			c.subs[best].sendMapped(c.dataUna)
-			c.oppRetxSeq = c.dataUna
-			c.OppRetx++
-			if c.tracer != nil {
-				c.tracer.OppRetx(c.traceID, int32(best), c.dataUna)
-			}
-		}
-	}
-}
+func (o *connOut) SetRTO(i int, d sim.Time) { setTimer(o.subs[i].rtoTimer, d) }
+func (o *connOut) SetPersist(d sim.Time)    { setTimer(o.persistTimer, d) }
 
-// penalize halves the congestion window of the subflow blocking the
-// receive buffer, backoff-limited to once per smoothed RTT (MinRTO when
-// unmeasured) so repeated blocking events within one round trip do not
-// collapse the window to nothing.
-func (c *Conn) penalize(i int) {
-	sf := c.subs[i]
-	now := c.net.Sim.Now()
-	if now < sf.nextPenalty {
-		return
+// setTimer rearms t in place (no dead event, no allocation), or stops it.
+func setTimer(t *sim.Timer, d sim.Time) {
+	if d == 0 {
+		t.Stop()
+	} else {
+		t.Reset(d)
 	}
-	cw := &c.cc[i]
-	if cw.Cwnd > 1 {
-		cw.Cwnd /= 2
-		if cw.Cwnd < 1 {
-			cw.Cwnd = 1
-		}
-		cw.SSThresh = cw.Cwnd
-		c.Penalties++
-		if c.tracer != nil {
-			c.tracer.Penalty(c.traceID, int32(i), cw.Cwnd)
-		}
-	}
-	d := sf.srtt
-	if d <= 0 {
-		d = c.cfg.MinRTO
-	}
-	sf.nextPenalty = now + d
-}
-
-// findBlocker returns the subflow holding the un-delivered segment the
-// receive window is stuck on (dataSeq == dataUna, outstanding and not
-// SACKed), or -1. The scan is bounded by the subflows' outstanding data
-// and runs only on blocking events, which the countermeasures rate-
-// limit.
-func (c *Conn) findBlocker() int {
-	for i, sf := range c.subs {
-		for s := sf.sndUna; s < sf.sndNxt; s++ {
-			m := sf.slot(s)
-			if !m.sacked && m.dataSeq == c.dataUna {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// idle reports whether no subflow has data in flight (so no ACK will
-// arrive to reopen a closed window on its own).
-func (c *Conn) idle() bool {
-	for _, sf := range c.subs {
-		if sf.outstanding() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// persistProbe sends a zero-window probe (TCP's persist timer): a tiny
-// packet that elicits an ACK carrying the current window, guarding
-// against a lost window update deadlocking a flow-control-blocked sender.
-func (c *Conn) persistProbe() {
-	if c.done || !c.fcBlocked {
-		return
-	}
-	for _, sf := range c.subs {
-		p := c.net.AllocPacket()
-		p.Size = netsim.AckPacketSize
-		p.FlowID = c.ID
-		p.SubflowID = sf.id
-		p.IsProbe = true
-		p.SentAt = c.net.Sim.Now()
-		c.net.Send(sf.fwd, p)
-	}
-	c.persistTimer.Reset(persistInterval)
-}
-
-func (c *Conn) String() string {
-	return fmt.Sprintf("conn%d[%s,%d subflows]", c.ID, c.alg.Name(), len(c.subs))
 }

@@ -2,19 +2,13 @@ package transport
 
 import "mptcp/internal/netsim"
 
-// ConnPool recycles completed connections across the lifetime of one
-// simulated world. Connection-churn workloads (scenario.FlowChurn, the
-// fleet experiment) create tens of thousands of short flows; without
-// pooling every flow allocates subflow meta rings, receiver maps and
-// scratch slices that become garbage seconds later. A pooled connection
-// is rebuilt by Conn.init, which reuses those allocations: the i-th
-// flow through a pool behaves exactly like a fresh NewConn with the
-// same Config (same transmissions, same completion time), so pooling is
-// a pure allocation optimisation.
-//
-// The pool is keyed by path count, the one shape parameter Conn.init
-// cannot convert in place. It is single-world and not goroutine-safe,
-// like everything else owned by one simulator.
+// ConnPool recycles completed connections within one simulated world.
+// Churn workloads (scenario.FlowChurn, the fleet experiment) create tens
+// of thousands of short flows; Conn.init rebuilds a pooled connection
+// reusing its scoreboard rings, receiver maps and scratch slices, and it
+// then behaves exactly like a fresh NewConn with the same Config, so
+// pooling is a pure allocation optimisation. The pool is keyed by path
+// count and, like everything a simulator owns, not goroutine-safe.
 type ConnPool struct {
 	nw   *netsim.Net
 	free map[int][]*Conn
@@ -56,7 +50,7 @@ func (p *ConnPool) Get(cfg Config) *Conn {
 // from Config.OnComplete is safe — the completion path releases the
 // connection's timers before invoking the callback.
 func (p *ConnPool) Put(c *Conn) {
-	if !c.done {
+	if !c.ep.Done() {
 		panic("transport: pooling a connection that has not completed")
 	}
 	delete(p.live, c)

@@ -204,9 +204,8 @@ func TestConnPoolRecycleInsideOnComplete(t *testing.T) {
 				// final ack (6) must not have touched it.
 				recycled := c
 				s.After(sim.Millisecond, func() {
-					sf := recycled.Subflows()[0]
-					if sf.sndUna > sf.sndNxt {
-						t.Errorf("old life's ack leaked into the new life: sndUna %d > sndNxt %d", sf.sndUna, sf.sndNxt)
+					if out := recycled.ep.Subflow(0).Outstanding(); out < 0 {
+						t.Errorf("old life's ack leaked into the new life: sndUna ahead of sndNxt by %d", -out)
 					}
 					if cw := recycled.Cwnd(0); cw != 2 {
 						t.Errorf("fresh cwnd = %v, want the initial 2 (phantom slow-start credits)", cw)

@@ -88,7 +88,7 @@ func TestCouplingVisibleAcrossSubflows(t *testing.T) {
 	e.s.RunUntil(5 * sim.Second)
 	// Force a loss event on subflow 0 via its CC hooks directly.
 	w0, w1 := c.Cwnd(0), c.Cwnd(1)
-	dec := c.Alg().Decrease(c.cc, 0)
+	dec := c.Alg().Decrease(c.ep.CC, 0)
 	want := w0 - (w0+w1)/2
 	if want < core.MinCwnd {
 		want = core.MinCwnd
