@@ -7,19 +7,29 @@
 // same instant are executed in scheduling order, and all randomness flows
 // from one seeded source.
 //
-// # Zero-allocation scheduling
+// # The event queue: a key heap over a payload slab
 //
-// The event queue is a binary min-heap of event records stored by value —
-// a tagged union of {typed handler callback, rearmable timer, one-shot
-// function}. Scheduling therefore never allocates per event: the heap's
-// backing array is the event pool (a popped slot is reused by the next
-// push), typed events (Post) carry a pre-built handler interface plus a
-// pointer-sized argument, and rearmable timers (NewTimer) are rearmed in
-// place with Reset, which re-keys the queued record and restores heap
-// order instead of abandoning a dead entry. Cancelled events are removed
-// eagerly, so the heap holds live events only. A Timer freelist owned by
-// the Simulator (mirroring netsim's packet freelist) recycles timer
-// objects across short-lived connections via NewTimer/Release.
+// The queue is split in two. A binary min-heap of 24-byte keys
+// {at, seq, slot}, ordered by (at, seq), holds no pointers, so sifting
+// it moves small records the garbage collector never scans. Each key
+// names a slot in a payload slab {fn, h, arg, tm} that holds what to run:
+// a one-shot function (At), a typed handler with its argument (Post) or a
+// rearmable timer (NewTimer). Payloads never move while their key sifts;
+// a dispatched or cancelled event's slot is zeroed, so the slab keeps no
+// garbage alive, and returned to an int32 free list for the next event.
+//
+// Sifts are hole sifts: each level writes one key instead of swapping
+// two. A timer's key carries ^slot (a negative slot), and only such keys
+// update Timer.index as they move, so Reset can re-key a queued timer in
+// place and restore heap order without abandoning a dead entry.
+// Cancelled events are removed eagerly; the heap holds live events only.
+//
+// Scheduling never allocates once the heap, slab and free list have grown
+// to the simulation's peak depth: Post stores a pre-built handler
+// interface plus a pointer-sized argument, and timers are rearmed in
+// place. A Timer freelist owned by the Simulator (mirroring netsim's
+// packet freelist) recycles timer objects across short-lived connections
+// via NewTimer/Release.
 package sim
 
 import (
@@ -61,37 +71,16 @@ type Handler interface {
 	OnEvent(arg any)
 }
 
-// evKind tags the event union.
-type evKind uint8
-
-const (
-	evFunc    evKind = iota // one-shot function (At/After)
-	evHandler               // typed callback: h.OnEvent(arg)
-	evTimer                 // rearmable Timer: tm.fn()
-)
-
-// event is one scheduled occurrence, stored by value in the heap. Exactly
-// one of {fn, h/arg, tm} is meaningful, per kind.
-type event struct {
-	at   Time
-	seq  uint64
-	kind evKind
-	fn   func()
-	h    Handler
-	arg  any
-	tm   *Timer
-}
-
 // Timer is a rearmable handle to a scheduled event, created with
 // Simulator.NewTimer. Reset rearms it in place: if the timer is queued,
-// its event record is re-keyed and the heap repaired (heap fix), so
-// stop-and-rearm cycles — a retransmission timer touched on every ACK —
-// create no garbage and leave no dead entries in the queue.
+// its key is re-keyed and the heap repaired (heap fix), so stop-and-rearm
+// cycles — a retransmission timer touched on every ACK — create no
+// garbage and leave no dead entries in the queue.
 type Timer struct {
 	s     *Simulator
 	fn    func()
 	at    Time
-	index int // position of the timer's event in the heap, -1 when idle
+	index int // position of the timer's key in the heap, -1 when idle
 }
 
 // Stop cancels the timer, removing its event from the queue. It is safe
@@ -101,20 +90,24 @@ func (t *Timer) Stop() bool {
 	if t == nil || t.index < 0 {
 		return false
 	}
-	t.s.remove(t.index)
+	s := t.s
+	k := s.remove(t.index)
+	t.index = -1
+	s.freeSlot(^k.slot)
 	return true
 }
 
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool { return t != nil && t.index >= 0 }
 
-// When returns the instant the timer is (or was last) scheduled to fire.
+// When returns the instant the timer is (or was last) scheduled to fire;
+// 0 for a timer never armed since NewTimer returned it.
 func (t *Timer) When() Time { return t.at }
 
 // Reset (re)arms the timer to fire d from now. If the timer is already
-// queued its event is rearmed in place; otherwise a fresh event is
-// pushed. Like the initial scheduling, a rearm counts as a new scheduling
-// for same-instant ordering purposes.
+// queued its key is rearmed in place; otherwise a fresh event is pushed.
+// Like the initial scheduling, a rearm counts as a new scheduling for
+// same-instant ordering purposes.
 func (t *Timer) Reset(d Time) { t.ResetAt(t.s.now + d) }
 
 // ResetAt (re)arms the timer to fire at absolute time at.
@@ -125,14 +118,13 @@ func (t *Timer) ResetAt(at Time) {
 	}
 	t.at = at
 	s.seq++
-	if t.index >= 0 {
-		e := &s.ev[t.index]
-		e.at = at
-		e.seq = s.seq
-		s.fix(t.index)
+	if i := t.index; i >= 0 {
+		k := s.heap[i]
+		k.at, k.seq = at, s.seq
+		s.fix(i, k)
 		return
 	}
-	s.push(event{at: at, seq: s.seq, kind: evTimer, tm: t})
+	s.push(key{at: at, seq: s.seq, slot: ^s.alloc(payload{tm: t})})
 }
 
 // Release stops the timer and returns it to the simulator's freelist for
@@ -145,18 +137,45 @@ func (t *Timer) Release() {
 	}
 	t.Stop()
 	t.fn = nil
-	t.s.free = append(t.s.free, t)
+	t.s.timers = append(t.s.timers, t)
+}
+
+// key orders one queued event. slot indexes the payload slab; a timer's
+// key stores ^slot, which marks it as the one kind of key whose moves
+// must be mirrored into Timer.index.
+type key struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// less is the queue order: time, then scheduling sequence. seq is unique,
+// so the order is total and the dispatch sequence is independent of the
+// heap's layout.
+func (a key) less(b key) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// payload is what a queued event runs. Exactly one of fn, h (with arg)
+// or tm is set.
+type payload struct {
+	fn  func()
+	h   Handler
+	arg any
+	tm  *Timer
 }
 
 // Simulator is a discrete-event scheduler. The zero value is not usable;
 // construct with New.
 type Simulator struct {
 	now    Time
-	ev     []event // binary min-heap ordered by (at, seq)
+	heap   []key     // binary min-heap ordered by (at, seq)
+	slab   []payload // payloads of queued events, indexed by key slot
+	free   []int32   // free slab slots
 	seq    uint64
 	rng    *rand.Rand
 	nsteps uint64
-	free   []*Timer // Timer freelist (NewTimer / Release)
+	timers []*Timer // Timer freelist (NewTimer / Release)
 }
 
 // New returns a Simulator whose random source is seeded with seed.
@@ -176,16 +195,16 @@ func (s *Simulator) Steps() uint64 { return s.nsteps }
 
 // NewTimer returns an idle rearmable timer that runs fn when it fires;
 // arm it with Reset. The timer comes from the simulator's freelist when
-// one is available.
+// one is available; a recycled timer is indistinguishable from a fresh
+// one.
 func (s *Simulator) NewTimer(fn func()) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil function")
 	}
-	if n := len(s.free); n > 0 {
-		t := s.free[n-1]
-		s.free = s.free[:n-1]
-		t.fn = fn
-		t.index = -1
+	if n := len(s.timers); n > 0 {
+		t := s.timers[n-1]
+		s.timers = s.timers[:n-1]
+		*t = Timer{s: s, fn: fn, index: -1}
 		return t
 	}
 	return &Timer{s: s, fn: fn, index: -1}
@@ -199,7 +218,7 @@ func (s *Simulator) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.push(event{at: t, seq: s.seq, kind: evFunc, fn: fn})
+	s.push(key{at: t, seq: s.seq, slot: s.alloc(payload{fn: fn})})
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -209,15 +228,15 @@ func (s *Simulator) After(d Time, fn func()) {
 
 // Post schedules h.OnEvent(arg) at absolute time t. This is the
 // allocation-free path used for packet-hop events: the handler interface
-// and the (pointer-sized) argument are stored by value in the event
-// record, so the per-hop cost is one heap insert and nothing for the
+// and the (pointer-sized) argument are stored by value in the payload
+// slab, so the per-hop cost is one heap insert and nothing for the
 // garbage collector.
 func (s *Simulator) Post(t Time, h Handler, arg any) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.push(event{at: t, seq: s.seq, kind: evHandler, h: h, arg: arg})
+	s.push(key{at: t, seq: s.seq, slot: s.alloc(payload{h: h, arg: arg})})
 }
 
 // RunUntil executes events in timestamp order until the event queue is
@@ -225,11 +244,8 @@ func (s *Simulator) Post(t Time, h Handler, arg any) {
 // time of the last executed event, or at end if no event at or before end
 // remains.
 func (s *Simulator) RunUntil(end Time) {
-	for len(s.ev) > 0 && s.ev[0].at <= end {
-		e := s.pop()
-		s.now = e.at
-		s.dispatch(e)
-		s.nsteps++
+	for len(s.heap) > 0 && s.heap[0].at <= end {
+		s.step()
 	}
 	if s.now < end {
 		s.now = end
@@ -238,137 +254,147 @@ func (s *Simulator) RunUntil(end Time) {
 
 // Run executes events until the queue empties.
 func (s *Simulator) Run() {
-	for len(s.ev) > 0 {
-		e := s.pop()
-		s.now = e.at
-		s.dispatch(e)
-		s.nsteps++
+	for len(s.heap) > 0 {
+		s.step()
 	}
 }
 
-func (s *Simulator) dispatch(e event) {
-	switch e.kind {
-	case evFunc:
-		e.fn()
-	case evHandler:
-		e.h.OnEvent(e.arg)
-	case evTimer:
-		e.tm.fn()
+// step pops the earliest event and dispatches it. The payload is copied
+// out and its slot freed first, so the callback may schedule into the
+// same slot and a timer may rearm itself.
+func (s *Simulator) step() {
+	k := s.pop()
+	s.now = k.at
+	slot := k.slot
+	if slot < 0 {
+		slot = ^slot
 	}
+	p := s.slab[slot]
+	s.freeSlot(slot)
+	switch {
+	case p.tm != nil:
+		p.tm.index = -1
+		p.tm.fn()
+	case p.h != nil:
+		p.h.OnEvent(p.arg)
+	default:
+		p.fn()
+	}
+	s.nsteps++
 }
 
 // Pending returns the number of events in the queue. Cancelled events are
 // removed eagerly, so every pending event is live.
-func (s *Simulator) Pending() int { return len(s.ev) }
+func (s *Simulator) Pending() int { return len(s.heap) }
 
-// --- event heap: binary min-heap over []event ordered by (at, seq).
-// Implemented directly (not via container/heap) so records stay by value
-// and pushes never box through an interface.
+// --- payload slab ---
 
-func (s *Simulator) less(i, j int) bool {
-	if s.ev[i].at != s.ev[j].at {
-		return s.ev[i].at < s.ev[j].at
+// alloc stores p in a free slab slot and returns the slot.
+func (s *Simulator) alloc(p payload) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[i] = p
+		return i
 	}
-	return s.ev[i].seq < s.ev[j].seq
+	s.slab = append(s.slab, p)
+	return int32(len(s.slab) - 1)
 }
 
-func (s *Simulator) swap(i, j int) {
-	s.ev[i], s.ev[j] = s.ev[j], s.ev[i]
-	if t := s.ev[i].tm; t != nil {
-		t.index = i
-	}
-	if t := s.ev[j].tm; t != nil {
-		t.index = j
+// freeSlot zeroes slot, dropping its references, and returns it to the
+// free list.
+func (s *Simulator) freeSlot(slot int32) {
+	s.slab[slot] = payload{}
+	s.free = append(s.free, slot)
+}
+
+// --- key heap: binary min-heap over []key ordered by (at, seq).
+// Implemented directly (not via container/heap) so keys stay by value and
+// pushes never box through an interface. Every sift carries the moving
+// key in hand and writes each displaced key once into the hole.
+
+// set writes k at heap position i, keeping a timer's index current.
+func (s *Simulator) set(i int, k key) {
+	s.heap[i] = k
+	if k.slot < 0 {
+		s.slab[^k.slot].tm.index = i
 	}
 }
 
-func (s *Simulator) up(i int) {
+// up places k into the hole at i, moving it toward the root.
+func (s *Simulator) up(i int, k key) {
+	h := s.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		p := (i - 1) >> 1
+		if !k.less(h[p]) {
 			break
 		}
-		s.swap(i, parent)
-		i = parent
+		s.set(i, h[p])
+		i = p
 	}
+	s.set(i, k)
 }
 
-// down sifts the element at i toward the leaves; it reports whether the
-// element moved.
-func (s *Simulator) down(i int) bool {
-	start := i
-	n := len(s.ev)
+// down places k into the hole at i, moving it toward the leaves.
+func (s *Simulator) down(i int, k key) {
+	h := s.heap
+	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		j := l
-		if r := l + 1; r < n && s.less(r, l) {
-			j = r
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
 		}
-		if !s.less(j, i) {
+		if !h[c].less(k) {
 			break
 		}
-		s.swap(i, j)
-		i = j
+		s.set(i, h[c])
+		i = c
 	}
-	return i > start
+	s.set(i, k)
 }
 
-func (s *Simulator) fix(i int) {
-	if !s.down(i) {
-		s.up(i)
+// fix places k, the new key of the entry at i, wherever heap order puts
+// it. In a valid heap it can only need to move one way.
+func (s *Simulator) fix(i int, k key) {
+	if i > 0 && k.less(s.heap[(i-1)>>1]) {
+		s.up(i, k)
+	} else {
+		s.down(i, k)
 	}
 }
 
-func (s *Simulator) push(e event) {
-	s.ev = append(s.ev, e)
-	i := len(s.ev) - 1
-	if t := e.tm; t != nil {
-		t.index = i
-	}
-	s.up(i)
+func (s *Simulator) push(k key) {
+	s.heap = append(s.heap, k)
+	s.up(len(s.heap)-1, k)
 }
 
-// pop removes and returns the minimum event. If the event belongs to a
-// timer, the timer is detached (index -1) before return so its callback
-// may rearm it immediately.
-func (s *Simulator) pop() event {
-	e := s.ev[0]
-	n := len(s.ev) - 1
+// pop removes and returns the minimum key. A timer popped here still has
+// its old index; step detaches it.
+func (s *Simulator) pop() key {
+	h := s.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	s.heap = h[:n]
 	if n > 0 {
-		s.ev[0] = s.ev[n]
-		if t := s.ev[0].tm; t != nil {
-			t.index = 0
-		}
+		s.down(0, last)
 	}
-	s.ev[n] = event{} // release fn/handler/arg references
-	s.ev = s.ev[:n]
-	if n > 1 {
-		s.down(0)
-	}
-	if t := e.tm; t != nil {
-		t.index = -1
-	}
-	return e
+	return top
 }
 
-// remove deletes the event at heap position i (a cancelled timer).
-func (s *Simulator) remove(i int) {
-	if t := s.ev[i].tm; t != nil {
-		t.index = -1
-	}
-	n := len(s.ev) - 1
-	if i != n {
-		s.ev[i] = s.ev[n]
-		if t := s.ev[i].tm; t != nil {
-			t.index = i
-		}
-	}
-	s.ev[n] = event{}
-	s.ev = s.ev[:n]
+// remove deletes and returns the key at heap position i (a cancelled
+// timer).
+func (s *Simulator) remove(i int) key {
+	h := s.heap
+	k := h[i]
+	n := len(h) - 1
+	last := h[n]
+	s.heap = h[:n]
 	if i < n {
-		s.fix(i)
+		s.fix(i, last)
 	}
+	return k
 }

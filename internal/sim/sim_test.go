@@ -172,6 +172,13 @@ func TestTimerReleaseRecycles(t *testing.T) {
 	if t1 != t2 {
 		t.Error("freelist did not recycle the released timer")
 	}
+	// A recycled timer must look fresh: idle, and never armed.
+	if t2.Active() {
+		t.Error("recycled timer reports active")
+	}
+	if got := t2.When(); got != 0 {
+		t.Errorf("recycled, never-armed timer reports When() = %v, want 0 like a fresh one", got)
+	}
 }
 
 type probeHandler struct {
@@ -385,6 +392,42 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Reset allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// At with a prebuilt func must not allocate once the heap is warm.
+func TestAtZeroAlloc(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		s.At(s.Now()+Time(i), fn)
+	}
+	s.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		s.At(s.Now()+Microsecond, fn)
+		s.RunUntil(s.Now() + Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("At+dispatch allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// A timer that fires and rearms itself from its own callback must not
+// allocate: the periodic-tick pattern (samplers, pacing).
+func TestTimerSelfRearmZeroAlloc(t *testing.T) {
+	s := New(1)
+	var tm *Timer
+	tm = s.NewTimer(func() { tm.Reset(Millisecond) })
+	tm.Reset(Millisecond)
+	s.RunUntil(10 * Millisecond)
+	allocs := testing.AllocsPerRun(100, func() {
+		s.RunUntil(s.Now() + Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("timer fire+rearm allocated %.1f objects/op, want 0", allocs)
+	}
+	if !tm.Active() {
+		t.Error("self-rearming timer went idle")
 	}
 }
 
